@@ -1,12 +1,13 @@
 #include "experiment_util.hpp"
 
-#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
 
+#include "ftmc/common/parse.hpp"
 #include "ftmc/io/json.hpp"
 #include "ftmc/io/table.hpp"
 #include "ftmc/obs/registry.hpp"
@@ -209,36 +210,6 @@ void print_fig3(const campaign::CampaignSpec& spec,
   print_fig3(config, points);
 }
 
-namespace {
-
-/// Strict integer parsing: the whole token must be consumed.
-[[nodiscard]] Expected<long long> parse_integer(const std::string& what,
-                                                const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-    return Expected<long long>::failure(what + " expects an integer, got \"" +
-                                        text + "\"");
-  }
-  return value;
-}
-
-[[nodiscard]] Expected<std::uint64_t> parse_seed(const std::string& what,
-                                                 const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-  if (text.empty() || text.front() == '-' || end == nullptr ||
-      *end != '\0' || errno == ERANGE) {
-    return Expected<std::uint64_t>::failure(
-        what + " expects an unsigned integer, got \"" + text + "\"");
-  }
-  return value;
-}
-
-}  // namespace
-
 Expected<BenchOverrides> parse_bench_overrides(int argc, char** argv,
                                                bool allow_campaign_flags) {
   using Fail = Expected<BenchOverrides>;
@@ -263,16 +234,15 @@ Expected<BenchOverrides> parse_bench_overrides(int argc, char** argv,
     }
     const std::string value = argv[++i];
     if (flag == "--sets") {
-      const auto n = parse_integer("--sets", value);
+      const auto n = parse_int("--sets", value, 1, INT_MAX);
       if (!n) return Fail::failure(n.error());
-      if (*n < 1) return Fail::failure("--sets must be >= 1");
       overrides.sets = static_cast<int>(*n);
     } else if (flag == "--seed") {
-      const auto s = parse_seed("--seed", value);
+      const auto s = parse_uint64("--seed", value);
       if (!s) return Fail::failure(s.error());
       overrides.seed = *s;
     } else if (flag == "--threads") {
-      const auto n = parse_integer("--threads", value);
+      const auto n = parse_int("--threads", value, INT_MIN, INT_MAX);
       if (!n) return Fail::failure(n.error());
       overrides.threads = static_cast<int>(*n);
     } else if (flag == "--spec") {
@@ -283,13 +253,12 @@ Expected<BenchOverrides> parse_bench_overrides(int argc, char** argv,
   }
   // Environment overrides used by CI smoke runs (win over the CLI).
   if (const char* env = std::getenv("FTMC_BENCH_SETS")) {
-    const auto n = parse_integer("FTMC_BENCH_SETS", env);
+    const auto n = parse_int("FTMC_BENCH_SETS", env, 1, INT_MAX);
     if (!n) return Fail::failure(n.error());
-    if (*n < 1) return Fail::failure("FTMC_BENCH_SETS must be >= 1");
     overrides.sets = static_cast<int>(*n);
   }
   if (const char* env = std::getenv("FTMC_BENCH_THREADS")) {
-    const auto n = parse_integer("FTMC_BENCH_THREADS", env);
+    const auto n = parse_int("FTMC_BENCH_THREADS", env, INT_MIN, INT_MAX);
     if (!n) return Fail::failure(n.error());
     overrides.threads = static_cast<int>(*n);
   }

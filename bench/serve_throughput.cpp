@@ -26,7 +26,7 @@
 
 #include "common/experiment_util.hpp"
 #include "ftmc/io/json.hpp"
-#include "ftmc/serve/client.hpp"
+#include "ftmc/net/socket.hpp"
 #include "ftmc/serve/server.hpp"
 #include "ftmc/serve/tcp.hpp"
 #include "ftmc/taskgen/generator.hpp"
@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
     clients.reserve(static_cast<std::size_t>(opt.clients));
     for (int c = 0; c < opt.clients; ++c) {
       clients.emplace_back([&, c] {
-        serve::Client client(host, port);
+        net::FramedClient client(host, port);
         for (int round = 0; round < opt.rounds; ++round) {
           answered_by[static_cast<std::size_t>(c)] +=
               result_count(client.call(request));
@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
     report.note_number("tcp_clients", opt.clients);
 
     if (opt.shutdown_after) {
-      serve::Client client(host, port);
+      net::FramedClient client(host, port);
       std::cout << "shutdown: " << client.call("{\"type\":\"shutdown\"}")
                 << "\n";
     }

@@ -9,6 +9,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -20,6 +21,7 @@
 #include "ftmc/campaign/runner.hpp"
 #include "ftmc/campaign/spec.hpp"
 #include "ftmc/common/expected.hpp"
+#include "ftmc/common/parse.hpp"
 #include "ftmc/exec/stats.hpp"
 #include "ftmc/fleet/service.hpp"
 #include "ftmc/fleet/worker.hpp"
@@ -93,18 +95,6 @@ struct CliOptions {
   int throttle_ms = 0;
 };
 
-[[nodiscard]] Expected<long long> parse_int(const std::string& flag,
-                                            const std::string& text) {
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || end == nullptr || *end != '\0') {
-    return Expected<long long>::failure("ftmc_campaign: " + flag +
-                                        " expects an integer, got \"" +
-                                        text + "\"");
-  }
-  return value;
-}
-
 [[nodiscard]] Expected<CliOptions> parse_cli(int argc, char** argv) {
   using Fail = Expected<CliOptions>;
   if (argc < 2) return Fail::failure(kUsage);
@@ -146,6 +136,16 @@ struct CliOptions {
       }
       return std::string(argv[++i]);
     };
+    auto int_value = [&](long long min,
+                         long long max) -> Expected<long long> {
+      auto v = value();
+      if (!v) return Expected<long long>::failure(v.error());
+      auto n = parse_int(flag, *v, min, max);
+      if (!n) {
+        return Expected<long long>::failure("ftmc_campaign: " + n.error());
+      }
+      return n;
+    };
     if (flag == "--spec") {
       auto v = value();
       if (!v) return Fail::failure(v.error());
@@ -157,37 +157,21 @@ struct CliOptions {
     } else if (flag == "--threads" || flag == "--port" ||
                flag == "--fleet" || flag == "--poll-ms" ||
                flag == "--throttle-ms") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      auto n = parse_int(flag, *v);
+      auto n = int_value(flag == "--threads" ? INT_MIN : 0,
+                         flag == "--port" ? 65535 : INT_MAX);
       if (!n) return Fail::failure(n.error());
-      if (flag != "--threads" && *n < 0) {
-        return Fail::failure("ftmc_campaign: " + flag +
-                             " expects a non-negative integer");
-      }
       if (flag == "--threads") opt.threads = static_cast<int>(*n);
       else if (flag == "--port") opt.port = static_cast<int>(*n);
       else if (flag == "--fleet") opt.fleet = static_cast<int>(*n);
       else if (flag == "--poll-ms") opt.poll_ms = static_cast<int>(*n);
       else opt.throttle_ms = static_cast<int>(*n);
     } else if (long long* slot = int_flag(flag).first; slot != nullptr) {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      auto n = parse_int(flag, *v);
-      if (!n || *n < int_flag(flag).second) {
-        return Fail::failure("ftmc_campaign: " + flag +
-                             " expects an integer >= " +
-                             std::to_string(int_flag(flag).second));
-      }
+      auto n = int_value(int_flag(flag).second, LLONG_MAX);
+      if (!n) return Fail::failure(n.error());
       *slot = *n;
     } else if (flag == "--max-cells") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      auto n = parse_int(flag, *v);
-      if (!n || *n < 0) {
-        return Fail::failure("ftmc_campaign: --max-cells expects a "
-                             "non-negative integer");
-      }
+      auto n = int_value(0, LLONG_MAX);
+      if (!n) return Fail::failure(n.error());
       opt.max_cells = static_cast<std::size_t>(*n);
     } else if (flag == "--port-file") {
       auto v = value();
@@ -327,8 +311,8 @@ int cmd_worker(const CliOptions& opt) {
     return 2;
   }
   const Expected<long long> port =
-      parse_int("--connect", opt.connect.substr(colon + 1));
-  if (!port || *port <= 0 || *port > 65535) {
+      parse_int("--connect", opt.connect.substr(colon + 1), 1, 65535);
+  if (!port) {
     std::cerr << "ftmc_campaign: bad port in \"" << opt.connect << "\"\n";
     return 2;
   }

@@ -4,6 +4,7 @@
 ///
 /// Exit codes: 0 = all checks passed, 4 = property failures found,
 /// 2 = usage / input error, 1 = runtime failure.
+#include <climits>
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
@@ -14,6 +15,7 @@
 
 #include "ftmc/check/harness.hpp"
 #include "ftmc/common/expected.hpp"
+#include "ftmc/common/parse.hpp"
 #include "ftmc/exec/stats.hpp"
 #include "ftmc/io/parse_error.hpp"
 #include "ftmc/obs/progress.hpp"
@@ -30,7 +32,8 @@ random task sets are drawn and every registered property is checked;
 failures are delta-debugged to minimal repros.
 
 options:
-  --cases N        number of cases to run (default 10000)
+  --cases N        number of cases to run (default 10000, at most
+                   100000000; longer runs use --budget-sec)
   --budget-sec S   run until S seconds of wall clock are spent (cases
                    then caps the run; default cap 10000000)
   --seed N         base seed; every case replays from (seed, index)
@@ -49,6 +52,11 @@ options:
   --stats          print run counters and metrics on completion
 )";
 
+/// A fixed-size run is one parallel wave that keeps a partial result per
+/// 16 cases; 1e8 cases (hours of work) bounds that storage to a few
+/// hundred MB.
+constexpr long long kMaxCases = 100'000'000;
+
 struct CliOptions {
   std::uint64_t cases = 10'000;
   bool cases_given = false;
@@ -66,18 +74,6 @@ struct CliOptions {
   bool stats = false;
   bool help = false;
 };
-
-[[nodiscard]] Expected<long long> parse_int(const std::string& flag,
-                                            const std::string& text) {
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || end == nullptr || *end != '\0') {
-    return Expected<long long>::failure("ftmc_check: " + flag +
-                                        " expects an integer, got \"" +
-                                        text + "\"");
-  }
-  return value;
-}
 
 [[nodiscard]] std::uint64_t utc_date_seed() {
   const std::time_t now = std::time(nullptr);
@@ -99,6 +95,14 @@ struct CliOptions {
       }
       return std::string(argv[++i]);
     };
+    auto int_value = [&](long long min,
+                         long long max) -> Expected<long long> {
+      auto v = value();
+      if (!v) return Expected<long long>::failure(v.error());
+      auto n = parse_int(flag, *v, min, max);
+      if (!n) return Expected<long long>::failure("ftmc_check: " + n.error());
+      return n;
+    };
     if (flag == "--help" || flag == "-h") {
       opt.help = true;
     } else if (flag == "--list") {
@@ -108,38 +112,31 @@ struct CliOptions {
     } else if (flag == "--stats") {
       opt.stats = true;
     } else if (flag == "--cases") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      auto n = parse_int(flag, *v);
-      if (!n || *n <= 0) {
-        return Fail::failure("ftmc_check: --cases expects a positive "
-                             "integer");
-      }
+      auto n = int_value(1, kMaxCases);
+      if (!n) return Fail::failure(n.error());
       opt.cases = static_cast<std::uint64_t>(*n);
       opt.cases_given = true;
     } else if (flag == "--budget-sec") {
       auto v = value();
       if (!v) return Fail::failure(v.error());
-      char* end = nullptr;
-      opt.budget_sec = std::strtod(v->c_str(), &end);
-      if (v->empty() || end == nullptr || *end != '\0' ||
-          opt.budget_sec <= 0.0) {
+      auto sec = parse_double(flag, *v);
+      if (!sec || *sec <= 0.0) {
         return Fail::failure("ftmc_check: --budget-sec expects a positive "
-                             "number of seconds");
+                             "number of seconds, got \"" + *v + "\"");
       }
+      opt.budget_sec = *sec;
     } else if (flag == "--seed") {
       auto v = value();
       if (!v) return Fail::failure(v.error());
       if (*v == "from-date") {
         opt.seed = utc_date_seed();
       } else {
-        auto n = parse_int(flag, *v);
-        if (!n || *n < 0) {
-          return Fail::failure(
-              "ftmc_check: --seed expects a non-negative integer or "
-              "'from-date'");
+        auto n = parse_uint64(flag, *v);
+        if (!n) {
+          return Fail::failure("ftmc_check: " + n.error() +
+                               " (or 'from-date')");
         }
-        opt.seed = static_cast<std::uint64_t>(*n);
+        opt.seed = *n;
       }
     } else if (flag == "--family") {
       auto v = value();
@@ -150,9 +147,7 @@ struct CliOptions {
       if (!v) return Fail::failure(v.error());
       opt.properties.push_back(*v);
     } else if (flag == "--threads") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      auto n = parse_int(flag, *v);
+      auto n = int_value(INT_MIN, INT_MAX);
       if (!n) return Fail::failure(n.error());
       opt.threads = static_cast<int>(*n);
     } else if (flag == "--repro-dir") {
@@ -160,13 +155,8 @@ struct CliOptions {
       if (!v) return Fail::failure(v.error());
       opt.repro_dir = *v;
     } else if (flag == "--max-failures") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      auto n = parse_int(flag, *v);
-      if (!n || *n < 0) {
-        return Fail::failure("ftmc_check: --max-failures expects a "
-                             "non-negative integer");
-      }
+      auto n = int_value(0, LLONG_MAX);
+      if (!n) return Fail::failure(n.error());
       opt.max_failures = static_cast<std::size_t>(*n);
     } else if (flag == "--replay") {
       auto v = value();

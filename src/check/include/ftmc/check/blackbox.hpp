@@ -25,7 +25,7 @@ namespace ftmc::check {
 
 /// A parsed `ftmc-blackbox-v1` document.
 struct BlackBoxDump {
-  std::vector<rt::PosixTask> tasks;
+  std::vector<rt::Task> tasks;
   rt::PosixHostConfig config;
   std::vector<rt::BlackBoxRecord> records;  ///< surviving, oldest first
   std::uint64_t total_records = 0;
@@ -40,9 +40,10 @@ struct BlackBoxDump {
 
 /// Replays the dump's configuration through the simulator host and
 /// checks every surviving record against the simulator event its
-/// sequence number names. Admission records are checked for range only
-/// (the simulator host admits analytically, not via the core's density
-/// test). Succeeds on truncated (SIGINT) and wrapped rings alike.
+/// sequence number names. The simulator runs the dump's whole core
+/// configuration; admission records are checked for range only (a run
+/// exists only when every task was admitted). Succeeds on truncated
+/// (SIGINT) and wrapped rings alike.
 [[nodiscard]] ReplayDiff replay_blackbox_through_sim(const BlackBoxDump& dump);
 
 /// Property: a PosixHost run dumped through an in-memory writer, parsed

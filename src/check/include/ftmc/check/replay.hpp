@@ -1,12 +1,14 @@
 /// \file replay.hpp
 /// \brief Differential trace replay: POSIX host vs. simulator host.
 ///
-/// Both hosts drive the same `ftmc::rt::Core`, and both derive all
-/// randomness from the same seeded mt19937_64 consumed in the same order
-/// (the core fixes the callback order). A PosixHost run is therefore
-/// fully determined by (tasks, config) — and replaying that configuration
-/// through the discrete-event simulator must yield the *identical* event
-/// stream. Any divergence means a host smuggled policy past the core.
+/// Both hosts run the same loop (`ftmc::rt::Driver`) over the same core
+/// and derive all randomness from the same seeded mt19937_64, consumed in
+/// the order the core fixes. A PosixHost run is therefore fully
+/// determined by (tasks, config) — and replaying its loop inputs
+/// (rt::run_config) through the simulator must yield the *identical*
+/// event stream. A divergence means the two adapters around the loop —
+/// their task and config mapping, their trace sinks, their clocks —
+/// drifted apart.
 ///
 /// This header is the shared implementation behind `ftmc_rtdemo --verify`
 /// and the `trace-replay` property family of ftmc_check.
@@ -17,16 +19,8 @@
 
 #include "ftmc/check/property.hpp"
 #include "ftmc/rt/posix_host.hpp"
-#include "ftmc/sim/model.hpp"
-#include "ftmc/sim/trace.hpp"
 
 namespace ftmc::check {
-
-/// Converts simulator tasks (the analysis-level build product of
-/// build_sim_tasks) into POSIX-host tasks. Lossless: both carry the same
-/// core parameters plus the host fault model.
-[[nodiscard]] std::vector<rt::PosixTask> posix_tasks_from_sim(
-    const std::vector<sim::SimTask>& tasks);
 
 /// Result of a differential replay.
 struct ReplayDiff {
@@ -39,22 +33,23 @@ struct ReplayDiff {
   std::string message;
 };
 
-/// The simulator-host event stream equivalent to a PosixHost run of
-/// (tasks, config): same tasks, same seed, same horizon, WCET execution,
-/// strictly periodic arrivals from the synchronous instant. The trace is
-/// bounded by config.trace_capacity. This is the reference stream both
-/// replay_through_sim and the black-box replay compare against.
-[[nodiscard]] std::vector<sim::TraceEvent> replay_sim_trace(
-    const std::vector<rt::PosixTask>& tasks,
-    const rt::PosixHostConfig& config);
+/// The simulator event stream equivalent to a PosixHost run of (tasks,
+/// config): the simulator runs rt::run_config(config) — the whole core
+/// configuration, seed and horizon, WCET execution, strictly periodic
+/// arrivals from the synchronous instant — keeping config.trace_capacity
+/// events. This is the reference stream both replay_through_sim and the
+/// black-box replay compare against.
+[[nodiscard]] std::vector<rt::Event> replay_sim_trace(
+    const std::vector<rt::Task>& tasks, const rt::PosixHostConfig& config);
 
-/// Replays a PosixHost configuration through the simulator host — same
-/// tasks, same seed, same horizon, WCET execution, strictly periodic
-/// arrivals from the synchronous instant — and compares the two event
-/// streams field by field.
+/// Replays a PosixHost configuration through the simulator
+/// (replay_sim_trace) and compares the two event streams event by event.
 [[nodiscard]] ReplayDiff replay_through_sim(
-    const std::vector<rt::PosixTask>& tasks, const rt::PosixHostConfig& config,
+    const std::vector<rt::Task>& tasks, const rt::PosixHostConfig& config,
     const std::vector<rt::Event>& posix_trace);
+
+/// "t=T kind task=I job=J detail=D": how replay messages name an event.
+[[nodiscard]] std::string describe(const rt::Event& event);
 
 /// The trace-replay property family (registered in all_properties()).
 Outcome p_replay_adversary_killing(const Case& c, const PropertyContext& ctx);

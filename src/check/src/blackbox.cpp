@@ -12,8 +12,9 @@ namespace ftmc::check {
 
 namespace {
 
-rt::TaskParams parse_params(const io::json::Value& t) {
-  rt::TaskParams p;
+rt::Task parse_task(const io::json::Value& t) {
+  rt::Task p;
+  p.name = t.at("name").as_string();
   p.period = static_cast<rt::Tick>(t.at("period").as_uint64());
   p.deadline = static_cast<rt::Tick>(t.at("deadline").as_uint64());
   p.wcet = static_cast<rt::Tick>(t.at("wcet").as_uint64());
@@ -27,6 +28,8 @@ rt::TaskParams parse_params(const io::json::Value& t) {
   p.adapt_threshold = static_cast<int>(t.at("adapt_threshold").as_uint64());
   p.priority = static_cast<int>(t.at("priority").as_number());
   p.segments = static_cast<int>(t.at("segments").as_uint64());
+  p.failure_prob = t.at("failure_prob").as_number();
+  p.checkpoint_overhead = t.at("checkpoint_overhead").as_number();
   return p;
 }
 
@@ -51,13 +54,6 @@ std::string describe(const rt::BlackBoxRecord& r) {
   std::ostringstream os;
   os << "seq=" << r.seq << " t=" << r.time << " " << rt::to_string(r.kind)
      << " task=" << r.task << " job=" << r.job << " detail=" << r.detail;
-  return os.str();
-}
-
-std::string describe(const sim::TraceEvent& e) {
-  std::ostringstream os;
-  os << "t=" << e.time << " " << sim::to_string(e.kind) << " task=" << e.task
-     << " job=" << e.job << " detail=" << e.detail;
   return os.str();
 }
 
@@ -95,12 +91,7 @@ BlackBoxDump parse_blackbox_json(std::string_view text) {
                    cfg.at("fault_model").as_string() + "'");
 
   for (const io::json::Value& t : doc.at("tasks").items()) {
-    rt::PosixTask task;
-    task.params = parse_params(t);
-    task.failure_prob = t.at("failure_prob").as_number();
-    task.checkpoint_overhead = t.at("checkpoint_overhead").as_number();
-    task.name = t.at("name").as_string();
-    dump.tasks.push_back(std::move(task));
+    dump.tasks.push_back(parse_task(t));
   }
   FTMC_EXPECTS(!dump.tasks.empty(), "blackbox: dump carries no tasks");
 
@@ -126,8 +117,7 @@ ReplayDiff replay_blackbox_through_sim(const BlackBoxDump& dump) {
   // number the dump can name; admission records sit before event 0.
   rt::PosixHostConfig cfg = dump.config;
   cfg.trace_capacity = static_cast<std::size_t>(dump.total_records);
-  const std::vector<sim::TraceEvent> sim_trace =
-      replay_sim_trace(dump.tasks, cfg);
+  const std::vector<rt::Event> sim_trace = replay_sim_trace(dump.tasks, cfg);
 
   ReplayDiff diff;
   diff.posix_events = dump.records.size();
@@ -159,10 +149,11 @@ ReplayDiff replay_blackbox_through_sim(const BlackBoxDump& dump) {
                      describe(r) + "}";
       return diff;
     }
-    const sim::TraceEvent& e = sim_trace[static_cast<std::size_t>(index)];
+    const rt::Event& e = sim_trace[static_cast<std::size_t>(index)];
     if (r.time == e.time &&
         static_cast<int>(r.kind) == static_cast<int>(e.kind) &&
-        r.task == e.task && r.job == e.job && r.detail == e.detail) {
+        r.task == e.task && r.job == e.job && r.detail == e.detail &&
+        r.release == e.release && r.abs_deadline == e.abs_deadline) {
       continue;
     }
     diff.first_divergence = i;
@@ -177,12 +168,12 @@ ReplayDiff replay_blackbox_through_sim(const BlackBoxDump& dump) {
 
 Outcome p_blackbox_replay(const Case& c, const PropertyContext& ctx) {
   if (c.ts.size() == 0) return Outcome::skip("empty set");
-  std::vector<rt::PosixTask> tasks = posix_tasks_from_sim(
-      sim::build_sim_tasks(c.ts, c.n_hi, c.n_lo, c.n_adapt, 0.75));
+  std::vector<rt::Task> tasks =
+      sim::build_sim_tasks(c.ts, c.n_hi, c.n_lo, c.n_adapt, 0.75);
   // Inflated fault rate so re-executions, mode switches and degraded
   // releases occur inside the bounded window (mirrors the bernoulli
   // replay property).
-  for (rt::PosixTask& t : tasks) t.failure_prob = 0.05;
+  for (rt::Task& t : tasks) t.failure_prob = 0.05;
 
   rt::PosixHostConfig cfg;
   cfg.core.policy = rt::Policy::kEdfVd;
@@ -197,7 +188,7 @@ Outcome p_blackbox_replay(const Case& c, const PropertyContext& ctx) {
       bounded_hyperperiod(c.ts, ctx.max_sim_horizon), 2'000'000);
   cfg.time_scale = 0.0;
   cfg.seed = c.seed;
-  cfg.fault_model = rt::PosixFaultModel::kBernoulli;
+  cfg.fault_model = rt::FaultModel::kBernoulli;
   cfg.trace_capacity = 200'000;
 
   rt::PosixHost host(tasks, cfg);

@@ -7,27 +7,6 @@
 
 namespace ftmc::check {
 
-namespace {
-
-sim::PolicyKind to_sim(rt::Policy policy) {
-  switch (policy) {
-    case rt::Policy::kEdf: return sim::PolicyKind::kEdf;
-    case rt::Policy::kEdfVd: return sim::PolicyKind::kEdfVd;
-    case rt::Policy::kFixedPriority: return sim::PolicyKind::kFixedPriority;
-  }
-  return sim::PolicyKind::kEdfVd;
-}
-
-mcs::AdaptationKind to_sim(rt::Adaptation adaptation) {
-  switch (adaptation) {
-    case rt::Adaptation::kNone: return mcs::AdaptationKind::kNone;
-    case rt::Adaptation::kKilling: return mcs::AdaptationKind::kKilling;
-    case rt::Adaptation::kDegradation:
-      return mcs::AdaptationKind::kDegradation;
-  }
-  return mcs::AdaptationKind::kNone;
-}
-
 std::string describe(const rt::Event& e) {
   std::ostringstream os;
   os << "t=" << e.time << " " << rt::to_string(e.kind) << " task=" << e.task
@@ -35,89 +14,18 @@ std::string describe(const rt::Event& e) {
   return os.str();
 }
 
-std::string describe(const sim::TraceEvent& e) {
-  std::ostringstream os;
-  os << "t=" << e.time << " " << sim::to_string(e.kind) << " task=" << e.task
-     << " job=" << e.job << " detail=" << e.detail;
-  return os.str();
-}
-
-}  // namespace
-
-std::vector<rt::PosixTask> posix_tasks_from_sim(
-    const std::vector<sim::SimTask>& tasks) {
-  std::vector<rt::PosixTask> out;
-  out.reserve(tasks.size());
-  for (const sim::SimTask& t : tasks) {
-    rt::PosixTask p;
-    p.params.period = t.period;
-    p.params.deadline = t.deadline;
-    p.params.wcet = t.wcet;
-    p.params.virtual_deadline = t.virtual_deadline;
-    p.params.crit = t.crit;
-    p.params.max_attempts = t.max_attempts;
-    p.params.adapt_threshold = t.adapt_threshold;
-    p.params.priority = t.priority;
-    p.params.segments = t.segments;
-    p.failure_prob = t.failure_prob;
-    p.checkpoint_overhead = t.checkpoint_overhead;
-    p.name = t.name;
-    out.push_back(std::move(p));
-  }
-  return out;
-}
-
-std::vector<sim::TraceEvent> replay_sim_trace(
-    const std::vector<rt::PosixTask>& tasks,
-    const rt::PosixHostConfig& config) {
-  // Reconstruct the equivalent simulator run: same tasks, same policy
-  // knobs, same seed. WCET execution and strictly periodic synchronous
-  // arrivals are what the POSIX host executes, so with the Bernoulli
-  // fault model both hosts consume the shared RNG stream identically.
-  std::vector<sim::SimTask> sim_tasks;
-  sim_tasks.reserve(tasks.size());
-  for (const rt::PosixTask& p : tasks) {
-    sim::SimTask t;
-    t.name = p.name;
-    t.period = p.params.period;
-    t.deadline = p.params.deadline;
-    t.wcet = p.params.wcet;
-    t.crit = p.params.crit;
-    t.max_attempts = p.params.max_attempts;
-    t.adapt_threshold = p.params.adapt_threshold;
-    t.failure_prob =
-        config.fault_model == rt::PosixFaultModel::kNone ? 0.0
-                                                         : p.failure_prob;
-    t.virtual_deadline = p.params.virtual_deadline;
-    t.priority = p.params.priority;
-    t.segments = p.params.segments;
-    t.checkpoint_overhead = p.checkpoint_overhead;
-    sim_tasks.push_back(std::move(t));
-  }
-
-  sim::SimConfig cfg;
-  cfg.policy = to_sim(config.core.policy);
-  cfg.adaptation = to_sim(config.core.adaptation);
-  cfg.degradation_factor = config.core.degradation_factor;
-  cfg.horizon = config.horizon;
-  cfg.seed = config.seed;
-  cfg.exec_model = sim::ExecTimeModel::kAlwaysWcet;
-  cfg.fault_adversary = config.fault_model == rt::PosixFaultModel::kExhaustBudget
-                            ? sim::FaultAdversary::kExhaustBudget
-                            : sim::FaultAdversary::kBernoulli;
-  cfg.mode_reset_on_idle = config.core.mode_reset_on_idle;
-  cfg.trace_capacity = config.trace_capacity;
-
-  sim::Simulator simulator(std::move(sim_tasks), cfg);
+std::vector<rt::Event> replay_sim_trace(const std::vector<rt::Task>& tasks,
+                                        const rt::PosixHostConfig& config) {
+  sim::Simulator simulator(tasks, rt::run_config(config),
+                           config.trace_capacity);
   (void)simulator.run();
   return simulator.trace();
 }
 
-ReplayDiff replay_through_sim(const std::vector<rt::PosixTask>& tasks,
+ReplayDiff replay_through_sim(const std::vector<rt::Task>& tasks,
                               const rt::PosixHostConfig& config,
                               const std::vector<rt::Event>& posix_trace) {
-  const std::vector<sim::TraceEvent> sim_trace =
-      replay_sim_trace(tasks, config);
+  const std::vector<rt::Event> sim_trace = replay_sim_trace(tasks, config);
 
   ReplayDiff diff;
   diff.posix_events = posix_trace.size();
@@ -125,12 +33,8 @@ ReplayDiff replay_through_sim(const std::vector<rt::PosixTask>& tasks,
   const std::size_t n = std::min(posix_trace.size(), sim_trace.size());
   for (std::size_t i = 0; i < n; ++i) {
     const rt::Event& a = posix_trace[i];
-    const sim::TraceEvent& b = sim_trace[i];
-    if (a.time == b.time &&
-        static_cast<int>(a.kind) == static_cast<int>(b.kind) &&
-        a.task == b.task && a.job == b.job && a.detail == b.detail) {
-      continue;
-    }
+    const rt::Event& b = sim_trace[i];
+    if (a == b) continue;
     diff.first_divergence = i;
     diff.message = "event " + std::to_string(i) + " diverges: posix {" +
                    describe(a) + "} vs sim {" + describe(b) + "}";
@@ -153,7 +57,7 @@ namespace {
 /// Shared setup of the replay properties: bounded horizon, full tracing.
 rt::PosixHostConfig replay_config(const Case& c, const PropertyContext& ctx,
                                   rt::Adaptation adaptation,
-                                  rt::PosixFaultModel fault_model,
+                                  rt::FaultModel fault_model,
                                   bool mode_reset) {
   rt::PosixHostConfig cfg;
   cfg.core.policy = rt::Policy::kEdfVd;
@@ -176,22 +80,18 @@ rt::PosixHostConfig replay_config(const Case& c, const PropertyContext& ctx,
   return cfg;
 }
 
-std::vector<rt::PosixTask> replay_tasks(const Case& c, double x) {
-  return posix_tasks_from_sim(
-      sim::build_sim_tasks(c.ts, c.n_hi, c.n_lo, c.n_adapt, x));
-}
-
 Outcome run_replay(const Case& c, const PropertyContext& ctx,
-                   rt::Adaptation adaptation, rt::PosixFaultModel fault_model,
+                   rt::Adaptation adaptation, rt::FaultModel fault_model,
                    bool mode_reset, double fault_prob_override,
                    std::string_view claim) {
   if (c.ts.size() == 0) return Outcome::skip("empty set");
   // x is arbitrary for replay purposes (identity must hold for any
   // priority assignment); 0.75 exercises virtual deadlines distinct from
   // both the true deadline and the release.
-  std::vector<rt::PosixTask> tasks = replay_tasks(c, 0.75);
+  std::vector<rt::Task> tasks =
+      sim::build_sim_tasks(c.ts, c.n_hi, c.n_lo, c.n_adapt, 0.75);
   if (fault_prob_override >= 0.0) {
-    for (rt::PosixTask& t : tasks) t.failure_prob = fault_prob_override;
+    for (rt::Task& t : tasks) t.failure_prob = fault_prob_override;
   }
   const rt::PosixHostConfig cfg =
       replay_config(c, ctx, adaptation, fault_model, mode_reset);
@@ -212,7 +112,7 @@ Outcome run_replay(const Case& c, const PropertyContext& ctx,
 
 Outcome p_replay_adversary_killing(const Case& c, const PropertyContext& ctx) {
   return run_replay(c, ctx, rt::Adaptation::kKilling,
-                    rt::PosixFaultModel::kExhaustBudget,
+                    rt::FaultModel::kExhaustBudget,
                     /*mode_reset=*/false, /*fault_prob_override=*/-1.0,
                     "posix/sim replay (adversary, killing)");
 }
@@ -222,17 +122,18 @@ Outcome p_replay_bernoulli_degradation(const Case& c,
   // Inflated fault rate so mode switches, re-executions and degraded
   // releases actually occur inside the bounded window.
   return run_replay(c, ctx, rt::Adaptation::kDegradation,
-                    rt::PosixFaultModel::kBernoulli,
+                    rt::FaultModel::kBernoulli,
                     /*mode_reset=*/true, /*fault_prob_override=*/0.05,
                     "posix/sim replay (bernoulli, degradation)");
 }
 
 Outcome p_replay_determinism(const Case& c, const PropertyContext& ctx) {
   if (c.ts.size() == 0) return Outcome::skip("empty set");
-  const std::vector<rt::PosixTask> tasks = replay_tasks(c, 0.75);
+  const std::vector<rt::Task> tasks =
+      sim::build_sim_tasks(c.ts, c.n_hi, c.n_lo, c.n_adapt, 0.75);
   const rt::PosixHostConfig cfg =
       replay_config(c, ctx, rt::Adaptation::kKilling,
-                    rt::PosixFaultModel::kBernoulli, /*mode_reset=*/true);
+                    rt::FaultModel::kBernoulli, /*mode_reset=*/true);
   rt::PosixHost first(tasks, cfg);
   rt::PosixHost second(tasks, cfg);
   const rt::PosixResult a = first.run();
@@ -243,13 +144,11 @@ Outcome p_replay_determinism(const Case& c, const PropertyContext& ctx) {
                          std::to_string(b.trace.size()) + " events");
   }
   for (std::size_t i = 0; i < a.trace.size(); ++i) {
-    const rt::Event& x = a.trace[i];
-    const rt::Event& y = b.trace[i];
-    if (x.time != y.time || x.kind != y.kind || x.task != y.task ||
-        x.job != y.job || x.detail != y.detail) {
+    if (a.trace[i] != b.trace[i]) {
       return Outcome::fail("posix host is not deterministic: event " +
-                           std::to_string(i) + " differs: {" + describe(x) +
-                           "} vs {" + describe(y) + "}");
+                           std::to_string(i) + " differs: {" +
+                           describe(a.trace[i]) + "} vs {" +
+                           describe(b.trace[i]) + "}");
     }
   }
   return Outcome::pass();

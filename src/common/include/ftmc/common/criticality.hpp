@@ -11,6 +11,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string_view>
@@ -27,6 +28,15 @@ inline constexpr std::array<Dal, 5> kAllDals = {Dal::A, Dal::B, Dal::C,
 
 /// Scheduling-theoretic criticality in a dual-criticality system.
 enum class CritLevel : int { LO = 0, HI = 1 };
+
+/// What the LO->HI criticality switch does to LO tasks. The analysis
+/// (mcs::AdaptationKind picks the PFH bound, Lemma 3.3 vs 3.4) and the
+/// runtime core (rt::Adaptation, the switch itself) share this one enum.
+enum class Adaptation : std::uint8_t {
+  kNone,         ///< no mode switch, or one with no effect on LO tasks
+  kKilling,      ///< LO jobs are discarded and LO releases suppressed
+  kDegradation,  ///< LO periods and deadlines are stretched by d_f
+};
 
 /// Returns true iff `a` denotes a strictly more critical level than `b`
 /// (note: "higher criticality" means *earlier* letter, A > B > ... > E).

@@ -19,11 +19,7 @@ namespace ftmc::mcs {
 /// How the scheduling technique treats LO-criticality tasks after a mode
 /// switch — this decides which PFH bound (Lemma 3.3 vs Lemma 3.4) the
 /// fault-tolerant layer must apply.
-enum class AdaptationKind {
-  kNone,         ///< No mode switch (e.g. plain EDF on worst-case load).
-  kKilling,      ///< LO tasks are abandoned in HI mode.
-  kDegradation,  ///< LO tasks continue with stretched periods in HI mode.
-};
+using AdaptationKind = ftmc::Adaptation;
 
 /// Abstract sufficient schedulability test for dual-criticality task sets.
 class SchedulabilityTest {

@@ -70,8 +70,8 @@ struct FramedClientOptions {
 };
 
 /// One framed client connection: blocking call() round trips with the
-/// configured deadlines. Replaces the raw socket code that used to live
-/// in serve::Client; fleet workers use it directly.
+/// configured deadlines. Fleet workers, the serve load generator and the
+/// serve transport tests use it directly.
 class FramedClient {
  public:
   /// Connects (throws TimeoutError past the connect deadline,

@@ -1,10 +1,10 @@
 /// \file ftmc_rtdemo_main.cpp
-/// \brief Host #2 demo: the FMS case study running on the ftmc::rt core in
-///        (scaled) real time on a POSIX machine.
+/// \brief The FMS case study on the ftmc::rt host loop, paced in (scaled)
+///        real time on a POSIX machine.
 ///
-/// The demo builds the canonical FMS instance (paper Table 4), hosts the
-/// same scheduler core the discrete-event simulator hosts, paces the
-/// schedule against CLOCK_MONOTONIC, and can
+/// The demo builds the canonical FMS instance (paper Table 4), runs it on
+/// the host loop the discrete-event simulator runs, paces the schedule
+/// against CLOCK_MONOTONIC, and can
 ///  - export the trace in the simulator's CSV / Chrome JSON formats,
 ///  - dump the core's flight recorder (`--dump-blackbox`, the
 ///    ftmc-blackbox-v1 post-mortem format — docs/observability.md),
@@ -17,6 +17,7 @@
 /// path); everything above still happens for the truncated run, which
 /// replays as a prefix of the full schedule — exactly the crashed-target
 /// post-mortem workflow the flight recorder exists for.
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -31,6 +32,7 @@
 #include "common/experiment_util.hpp"
 #include "ftmc/check/blackbox.hpp"
 #include "ftmc/check/replay.hpp"
+#include "ftmc/common/parse.hpp"
 #include "ftmc/core/conversion.hpp"
 #include "ftmc/fms/fms.hpp"
 #include "ftmc/mcs/edf_vd.hpp"
@@ -43,6 +45,11 @@
 namespace {
 
 using ftmc::sim::Tick;
+
+/// Domains of --horizon-ms and --scale: together they keep the paced
+/// wall-clock target (scale * horizon, in ns) inside int64.
+constexpr std::int64_t kMaxHorizonMs = 1'000'000'000;  // ~11.6 days
+constexpr double kMaxScale = 1000.0;
 
 struct Options {
   double scale = 0.001;      // wall seconds per simulated second
@@ -66,14 +73,16 @@ void usage() {
   std::cout <<
       "ftmc_rtdemo — FMS case study on the ftmc::rt core, POSIX host\n"
       "\n"
-      "  --scale S        wall seconds per simulated second\n"
+      "  --scale S        wall seconds per simulated second, 0..1000\n"
       "                   (default 0.001 = 1000x fast-forward; 0 = free-run)\n"
-      "  --horizon-ms N   simulated horizon in ms (default 10000)\n"
+      "  --horizon-ms N   simulated horizon in ms, 1..1e9 (default 10000)\n"
       "  --seed N         RNG seed for the fault model (default 1)\n"
       "  --adaptation A   kill | degrade (default degrade)\n"
-      "  --df X           degradation factor d_f (default 6, the FMS value)\n"
+      "  --df X           degradation factor d_f >= 1 (default 6, the FMS\n"
+      "                   value)\n"
       "  --faults F       none | bernoulli | adversary (default bernoulli)\n"
-      "  --fault-prob P   per-attempt fault probability (default 0.02)\n"
+      "  --fault-prob P   per-attempt fault probability in [0, 1)\n"
+      "                   (default 0.02)\n"
       "  --mode-reset     return to LO mode at idle instants\n"
       "  --trace-out F    write the trace as CSV\n"
       "  --chrome-out F   write the trace as Chrome trace JSON\n"
@@ -91,28 +100,41 @@ bool parse_args(int argc, char** argv, Options& opt) {
     const std::string arg = argv[i];
     const auto value = [&]() -> const char* {
       if (i + 1 >= argc) {
-        std::cerr << "missing value for " << arg << "\n";
+        std::cerr << "ftmc_rtdemo: missing value for " << arg << "\n";
         std::exit(2);
       }
       return argv[++i];
+    };
+    // Every number is parsed whole and checked against its domain; a bad
+    // one ends the run with exit code 2 and a message naming the flag.
+    const auto checked = [](auto parsed) {
+      if (!parsed) {
+        std::cerr << "ftmc_rtdemo: " << parsed.error() << "\n";
+        std::exit(2);
+      }
+      return *parsed;
     };
     if (arg == "--help" || arg == "-h") {
       usage();
       std::exit(0);
     } else if (arg == "--scale") {
-      opt.scale = std::atof(value());
+      opt.scale = checked(ftmc::parse_double(arg, value(), 0.0, kMaxScale));
     } else if (arg == "--horizon-ms") {
-      opt.horizon_ms = std::atoll(value());
+      opt.horizon_ms =
+          checked(ftmc::parse_int(arg, value(), 1, kMaxHorizonMs));
     } else if (arg == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(value()));
+      opt.seed = checked(ftmc::parse_uint64(arg, value()));
     } else if (arg == "--adaptation") {
       opt.adaptation = value();
     } else if (arg == "--df") {
-      opt.degradation_factor = std::atof(value());
+      opt.degradation_factor =
+          checked(ftmc::parse_double(arg, value(), 1.0, 1e6));
     } else if (arg == "--faults") {
       opt.faults = value();
     } else if (arg == "--fault-prob") {
-      opt.fault_prob = std::atof(value());
+      // A per-attempt probability, and < 1: a certain fault is no model.
+      opt.fault_prob = checked(
+          ftmc::parse_double(arg, value(), 0.0, std::nextafter(1.0, 0.0)));
     } else if (arg == "--mode-reset") {
       opt.mode_reset = true;
     } else if (arg == "--verify") {
@@ -133,17 +155,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
     }
   }
   return true;
-}
-
-std::vector<ftmc::sim::TraceEvent> to_sim_trace(
-    const std::vector<ftmc::rt::Event>& trace) {
-  std::vector<ftmc::sim::TraceEvent> out;
-  out.reserve(trace.size());
-  for (const ftmc::rt::Event& e : trace) {
-    out.push_back({e.time, static_cast<ftmc::sim::TraceKind>(e.kind), e.task,
-                   e.job, e.detail});
-  }
-  return out;
 }
 
 // SIGINT path: the handler may only call the async-signal-safe
@@ -178,9 +189,9 @@ int main(int argc, char** argv) {
   const ftmc::mcs::EdfVdAnalysis vd = ftmc::mcs::analyze_edf_vd(mc);
   const double x = vd.schedulable ? vd.x : 1.0;
 
-  std::vector<rt::PosixTask> tasks = check::posix_tasks_from_sim(
-      sim::build_sim_tasks(fms_set, n_hi, n_lo, n_adapt, x));
-  for (rt::PosixTask& t : tasks) t.failure_prob = opt.fault_prob;
+  std::vector<rt::Task> tasks =
+      sim::build_sim_tasks(fms_set, n_hi, n_lo, n_adapt, x);
+  for (rt::Task& t : tasks) t.failure_prob = opt.fault_prob;
 
   rt::PosixHostConfig cfg;
   cfg.core.policy = rt::Policy::kEdfVd;
@@ -199,11 +210,11 @@ int main(int argc, char** argv) {
   cfg.time_scale = opt.scale;
   cfg.seed = opt.seed;
   if (opt.faults == "none") {
-    cfg.fault_model = rt::PosixFaultModel::kNone;
+    cfg.fault_model = rt::FaultModel::kNone;
   } else if (opt.faults == "bernoulli") {
-    cfg.fault_model = rt::PosixFaultModel::kBernoulli;
+    cfg.fault_model = rt::FaultModel::kBernoulli;
   } else if (opt.faults == "adversary") {
-    cfg.fault_model = rt::PosixFaultModel::kExhaustBudget;
+    cfg.fault_model = rt::FaultModel::kExhaustBudget;
   } else {
     std::cerr << "unknown fault model '" << opt.faults << "'\n";
     return 2;
@@ -239,7 +250,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> names;
   names.reserve(tasks.size());
-  for (const rt::PosixTask& t : tasks) names.push_back(t.name);
+  for (const rt::Task& t : tasks) names.push_back(t.name);
 
   if (!opt.quiet) {
     std::cout << "ftmc_rtdemo: FMS case study on the ftmc::rt core\n"
@@ -253,16 +264,16 @@ int main(int argc, char** argv) {
                 << " us";
     }
     std::cout << "\n  events " << result.trace.size() << ", busy "
-              << result.busy_time << " us, preemptions "
-              << result.counters.preemptions << ", context switches "
+              << result.stats.busy_time << " us, preemptions "
+              << result.stats.preemptions << ", context switches "
               << result.context_switches << ", mode switches "
-              << result.counters.mode_switches << " (resets "
-              << result.counters.mode_resets << ")\n"
+              << result.stats.mode_switches << " (resets "
+              << result.stats.mode_resets << ")\n"
               << "  black box " << result.blackbox.size() << " of "
               << result.blackbox_total << " records kept ("
               << result.blackbox_admissions << " admission verdicts)\n";
     std::uint64_t misses = 0, failures = 0, completed = 0;
-    for (const rt::TaskCounters& tc : result.per_task) {
+    for (const rt::TaskCounters& tc : result.stats.per_task) {
       misses += tc.deadline_misses;
       failures += tc.job_failures;
       completed += tc.completed;
@@ -277,7 +288,7 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open " << opt.trace_out << "\n";
       return 1;
     }
-    sim::write_trace_csv(os, to_sim_trace(result.trace), names);
+    sim::write_trace_csv(os, result.trace, names);
   }
   if (!opt.chrome_out.empty()) {
     std::ofstream os(opt.chrome_out);
@@ -285,7 +296,7 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open " << opt.chrome_out << "\n";
       return 1;
     }
-    sim::write_trace_chrome_json(os, to_sim_trace(result.trace), names);
+    sim::write_trace_chrome_json(os, result.trace, names);
   }
   if (!opt.dump_blackbox.empty()) {
     std::ofstream os(opt.dump_blackbox);
@@ -301,9 +312,9 @@ int main(int argc, char** argv) {
     report->note_number("context_switches",
                         static_cast<double>(result.context_switches));
     report->note_number("preemptions",
-                        static_cast<double>(result.counters.preemptions));
+                        static_cast<double>(result.stats.preemptions));
     report->note_number("mode_switches",
-                        static_cast<double>(result.counters.mode_switches));
+                        static_cast<double>(result.stats.mode_switches));
     report->note_number("blackbox_records",
                         static_cast<double>(result.blackbox.size()));
     report->note_number("blackbox_total",

@@ -24,7 +24,7 @@ namespace ftmc::rt {
 /// Writes the `ftmc-blackbox-v1` JSON document: task set, host config,
 /// surviving records (oldest first) and the total/dropped accounting from
 /// `result`.
-void write_blackbox_json(std::ostream& os, const std::vector<PosixTask>& tasks,
+void write_blackbox_json(std::ostream& os, const std::vector<Task>& tasks,
                          const PosixHostConfig& config,
                          const PosixResult& result);
 

@@ -8,14 +8,15 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string_view>
 
 #include "ftmc/rt/types.hpp"
 
 namespace ftmc::rt {
 
-/// What happened. Values and meanings mirror the simulator's TraceKind
-/// one-to-one so host traces stay interchangeable.
+/// What happened. Every host's trace, metrics and statistics are built
+/// from this one vocabulary.
 enum class EventKind : std::uint8_t {
   kRelease,       ///< a job arrived
   kStart,         ///< a job (attempt) got the processor
@@ -45,6 +46,11 @@ struct Event {
   std::uint32_t detail = 0;
   Tick release = 0;
   Tick abs_deadline = 0;
+
+  friend bool operator==(const Event&, const Event&) = default;
 };
+
+/// "[time] kind task=T job=J" plus " attempt=A" when detail is set.
+std::ostream& operator<<(std::ostream& os, const Event& event);
 
 }  // namespace ftmc::rt

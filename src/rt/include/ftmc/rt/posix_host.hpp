@@ -1,16 +1,15 @@
 /// \file posix_host.hpp
-/// \brief Host #2 of the runtime core: a POSIX process executing the
-///        schedule in (scaled) real time.
+/// \brief The runtime core's host loop on the wall clock: a POSIX process
+///        executing the schedule in (scaled) real time.
 ///
-/// The PosixHost drives the exact same `ftmc::rt::Core` the discrete-event
-/// simulator hosts, but advances through the schedule against the wall
-/// clock: every decision instant t is paced to
-/// `start + time_scale * t` with clock_nanosleep(CLOCK_MONOTONIC,
-/// TIMER_ABSTIME). Scheduling itself is driven by *logical* ticks — the
-/// wall clock only paces, never decides — so a run is deterministic for a
-/// given (task set, config, seed) and can be replayed bit-identically
-/// through the simulator host. That replay is the `trace-replay` property
-/// family of ftmc::check (see docs/runtime.md).
+/// PosixHost runs the one host loop (driver.hpp) on a clock paced against
+/// CLOCK_MONOTONIC: every decision instant t is reached at
+/// `start + time_scale * t` with clock_nanosleep(TIMER_ABSTIME).
+/// Scheduling itself is driven by *logical* ticks — the wall clock only
+/// paces, never decides — so a run is deterministic for a given (task
+/// set, config, seed) and replays bit-identically through the simulator,
+/// which runs the same loop on virtual time. That replay is the
+/// `trace-replay` property family of ftmc::check (see docs/runtime.md).
 ///
 /// With `time_scale == 0` the host free-runs (no sleeping): this is the
 /// CI smoke mode, and also what the replay properties use.
@@ -18,38 +17,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <random>
-#include <string>
 #include <vector>
 
-#include "ftmc/rt/core.hpp"
-#include "ftmc/rt/event.hpp"
-#include "ftmc/rt/host.hpp"
-#include "ftmc/rt/types.hpp"
+#include "ftmc/rt/driver.hpp"
 
 namespace ftmc::rt {
-
-/// One task as the POSIX host sees it: the core-level parameters plus the
-/// host-owned fault/checkpoint model and a display name.
-struct PosixTask {
-  TaskParams params;
-  double failure_prob = 0.0;        ///< per-attempt Bernoulli fault rate
-  double checkpoint_overhead = 0.0; ///< fraction of C per checkpoint save
-  std::string name;
-};
-
-/// How the host decides segment faults.
-enum class PosixFaultModel {
-  kNone,           ///< no faults ever (pure schedule demo)
-  kBernoulli,      ///< i.i.d. faults with probability f_i (seeded)
-  kExhaustBudget,  ///< deterministic worst-case adversary
-};
-
-/// Stable dump names ("none", "bernoulli", "exhaust-budget") used by the
-/// black-box format; the inverse returns false on unknown names.
-[[nodiscard]] std::string_view to_string(PosixFaultModel model);
-[[nodiscard]] bool fault_model_from_string(std::string_view name,
-                                           PosixFaultModel& out);
 
 struct PosixHostConfig {
   /// Core policy configuration. Defaults keep the no-alloc contract
@@ -61,19 +33,21 @@ struct PosixHostConfig {
   /// fast-forward, 0 = free-run without sleeping (CI smoke / replay).
   double time_scale = 0.0;
   std::uint64_t seed = 1;
-  PosixFaultModel fault_model = PosixFaultModel::kBernoulli;
+  FaultModel fault_model = FaultModel::kBernoulli;
   /// Keep at most this many events (0 disables tracing).
   std::size_t trace_capacity = 1 << 20;
 };
 
-/// Outcome of a PosixHost run: the event trace plus the core's counters
-/// and the host's time-domain measurements.
+/// The loop inputs of a PosixHost run: the whole core configuration,
+/// synchronous and strictly periodic arrivals, WCET execution. Replay
+/// rebuilds a run from exactly this.
+[[nodiscard]] RunConfig run_config(const PosixHostConfig& config);
+
+/// Outcome of a PosixHost run: the event trace, the run statistics and
+/// the host's time-domain measurements.
 struct PosixResult {
   std::vector<Event> trace;
-  CoreCounters counters;
-  std::vector<TaskCounters> per_task;
-  Tick busy_time = 0;  ///< logical non-idle time
-  Tick horizon = 0;
+  RunStats stats;
   double wall_seconds = 0.0;       ///< wall-clock duration of the run
   /// Worst observed wall-clock drift behind the paced schedule (us);
   /// 0 in free-run mode. Pacing quality, not schedule correctness: the
@@ -94,9 +68,9 @@ struct PosixResult {
 };
 
 /// The POSIX host. Construct, run once, inspect the result.
-class PosixHost final : private Host {
+class PosixHost final : private Driver {
  public:
-  PosixHost(std::vector<PosixTask> tasks, const PosixHostConfig& config);
+  PosixHost(std::vector<Task> tasks, const PosixHostConfig& config);
 
   /// Drives the core over [0, horizon). May be called once per instance.
   PosixResult run();
@@ -109,44 +83,23 @@ class PosixHost final : private Host {
     stop_.store(true, std::memory_order_relaxed);
   }
 
-  [[nodiscard]] const std::vector<PosixTask>& tasks() const noexcept {
-    return tasks_;
-  }
+  using Driver::tasks;
 
   /// Bound on PosixResult::switch_lateness_us samples kept per run.
   static constexpr std::size_t kMaxSwitchSamples = 1 << 16;
 
  private:
-  struct ReleaseEntry {
-    Tick time = 0;
-    std::uint64_t seq = 0;  ///< FIFO tiebreak, mirrors the simulator's
-    std::uint32_t task = 0;
-  };
+  struct WallClock;
 
-  // Host interface (called by the core).
-  [[nodiscard]] Tick sample_segment_time(std::uint32_t task) override;
-  [[nodiscard]] bool sample_fault(std::uint32_t task,
-                                  int faults_so_far) override;
+  // Trace sink and context-switch hook (called by the core).
   void emit(const Event& event) override;
-  void on_mode_change(CritLevel mode, Tick now) override;
   void on_context_switch(std::uint32_t task, std::uint64_t job,
                          Tick now) override;
 
-  void push_release(std::uint32_t task_index, Tick at);
-  void schedule_next_release(std::uint32_t task_index, Tick from);
   void pace_to(Tick t);
 
-  std::vector<PosixTask> tasks_;
   PosixHostConfig config_;
-  std::mt19937_64 rng_;
-  Core core_;
-
-  std::vector<ReleaseEntry> release_queue_;  // min-heap on (time, seq)
-  std::vector<Tick> next_release_;           // per task; kNever = suppressed
-  std::uint64_t event_seq_ = 0;
-  bool ran_ = false;
   std::atomic<bool> stop_{false};
-
   PosixResult result_;
   std::int64_t wall_start_ns_ = 0;
 };

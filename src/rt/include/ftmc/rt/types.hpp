@@ -28,12 +28,10 @@ enum class Policy : std::uint8_t {
   kFixedPriority,  ///< fixed priorities (smaller value = more important)
 };
 
-/// What the LO->HI criticality switch does to LO tasks.
-enum class Adaptation : std::uint8_t {
-  kNone,         ///< mode switch has no effect on LO tasks
-  kKilling,      ///< discard ready LO jobs, suppress future LO releases
-  kDegradation,  ///< stretch LO periods and deadlines by d_f
-};
+/// What the LO->HI criticality switch does to LO tasks (kNone, kKilling:
+/// discard ready LO jobs and suppress LO releases, kDegradation: stretch
+/// LO periods and deadlines by d_f). One enum with the analysis side.
+using ftmc::Adaptation;
 
 /// Stable dump names ("edf-vd", "killing", ...) used by the black-box
 /// format; inverses return false on unknown names.
@@ -60,8 +58,8 @@ struct TaskParams {
   /// the job's release.
   int adapt_threshold = 1;
   int priority = 0;           ///< kFixedPriority rank (smaller = higher)
-  /// Checkpointing: the job runs as `segments` pieces (see the simulator
-  /// model); 1 = the paper's full re-execution.
+  /// Checkpointing: the job runs as `segments` pieces (see rt::Task);
+  /// 1 = the paper's full re-execution.
   int segments = 1;
 };
 
@@ -72,9 +70,8 @@ struct Admission {
   const char* reason = nullptr;
 };
 
-/// Per-task runtime counters maintained by the core (the policy-level
-/// subset of the simulator's TaskStats; hosts add time-domain stats like
-/// busy time themselves).
+/// Per-task runtime counters maintained by the core; hosts report them
+/// as the per-task part of their run statistics.
 struct TaskCounters {
   std::uint64_t released = 0;       ///< jobs that arrived
   std::uint64_t completed = 0;      ///< jobs that finished successfully
@@ -85,6 +82,19 @@ struct TaskCounters {
   std::uint64_t deadline_misses = 0;  ///< completions after the deadline
   Tick max_response = 0;    ///< worst observed response time (completions)
   Tick total_response = 0;  ///< sum of response times over completions
+
+  /// Mean observed response time of completed jobs (0 if none completed).
+  [[nodiscard]] double avg_response() const {
+    return completed > 0 ? static_cast<double>(total_response) /
+                               static_cast<double>(completed)
+                         : 0.0;
+  }
+  /// Temporal-domain failures in the paper's sense (Sec. 2.1): a job fails
+  /// if it "does not successfully finish by its deadline" — exhausted
+  /// attempts, killed, or completed late.
+  [[nodiscard]] std::uint64_t temporal_failures() const {
+    return job_failures + killed + deadline_misses;
+  }
 };
 
 /// Whole-core counters.

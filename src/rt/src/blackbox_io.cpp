@@ -48,7 +48,7 @@ void write_record(std::ostream& os, const BlackBoxRecord& r) {
 
 }  // namespace
 
-void write_blackbox_json(std::ostream& os, const std::vector<PosixTask>& tasks,
+void write_blackbox_json(std::ostream& os, const std::vector<Task>& tasks,
                          const PosixHostConfig& config,
                          const PosixResult& result) {
   os << "{\n  \"format\": \"ftmc-blackbox-v1\",\n  \"config\": {\n"
@@ -74,17 +74,16 @@ void write_blackbox_json(std::ostream& os, const std::vector<PosixTask>& tasks,
      << "    \"fault_model\": \"" << to_string(config.fault_model)
      << "\"\n  },\n  \"tasks\": [\n";
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const PosixTask& t = tasks[i];
-    const TaskParams& p = t.params;
-    os << "    {\"name\": " << quoted(t.name) << ", \"period\": " << p.period
+    const Task& p = tasks[i];
+    os << "    {\"name\": " << quoted(p.name) << ", \"period\": " << p.period
        << ", \"deadline\": " << p.deadline << ", \"wcet\": " << p.wcet
        << ", \"virtual_deadline\": " << p.virtual_deadline << ", \"crit\": \""
        << (p.crit == CritLevel::HI ? "HI" : "LO")
        << "\", \"max_attempts\": " << p.max_attempts
        << ", \"adapt_threshold\": " << p.adapt_threshold
        << ", \"priority\": " << p.priority << ", \"segments\": " << p.segments
-       << ", \"failure_prob\": " << number(t.failure_prob)
-       << ", \"checkpoint_overhead\": " << number(t.checkpoint_overhead)
+       << ", \"failure_prob\": " << number(p.failure_prob)
+       << ", \"checkpoint_overhead\": " << number(p.checkpoint_overhead)
        << "}" << (i + 1 < tasks.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"admission_records\": " << result.blackbox_admissions

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include "ftmc/rt/event.hpp"
 
@@ -75,6 +76,13 @@ std::string_view to_string(EventKind kind) {
     case EventKind::kKill: return "kill";
   }
   return "unknown";
+}
+
+std::ostream& operator<<(std::ostream& os, const Event& event) {
+  os << "[" << event.time << "] " << to_string(event.kind)
+     << " task=" << event.task << " job=" << event.job;
+  if (event.detail != 0) os << " attempt=" << event.detail;
+  return os;
 }
 
 }  // namespace ftmc::rt

@@ -14,6 +14,7 @@
 ///    print it in Prometheus text exposition format.
 ///
 /// Exit codes: 0 = clean shutdown, 2 = usage error, 1 = runtime failure.
+#include <climits>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
@@ -22,6 +23,7 @@
 #include <string>
 
 #include "ftmc/common/expected.hpp"
+#include "ftmc/common/parse.hpp"
 #include "ftmc/obs/exposition.hpp"
 #include "ftmc/obs/registry.hpp"
 #include "ftmc/serve/expose.hpp"
@@ -56,18 +58,6 @@ struct CliOptions {
   std::string trace_out;
 };
 
-[[nodiscard]] Expected<long long> parse_int(const std::string& flag,
-                                            const std::string& text) {
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || end == nullptr || *end != '\0') {
-    return Expected<long long>::failure("ftmc_serve: " + flag +
-                                        " expects an integer, got \"" +
-                                        text + "\"");
-  }
-  return value;
-}
-
 [[nodiscard]] Expected<CliOptions> parse_cli(int argc, char** argv) {
   using Fail = Expected<CliOptions>;
   CliOptions opt;
@@ -80,10 +70,13 @@ struct CliOptions {
       }
       return std::string(argv[++i]);
     };
-    auto int_value = [&]() -> Expected<long long> {
+    auto int_value = [&](long long min,
+                         long long max) -> Expected<long long> {
       auto v = value();
       if (!v) return Expected<long long>::failure(v.error());
-      return parse_int(flag, *v);
+      auto n = parse_int(flag, *v, min, max);
+      if (!n) return Expected<long long>::failure("ftmc_serve: " + n.error());
+      return n;
     };
     if (flag == "--help" || flag == "-h") {
       std::cout << kUsage;
@@ -97,35 +90,24 @@ struct CliOptions {
       if (!v) return Fail::failure(v.error());
       opt.trace_out = *v;
     } else if (flag == "--port") {
-      auto n = int_value();
+      auto n = int_value(0, 65535);
       if (!n) return Fail::failure(n.error());
-      if (*n < 0 || *n > 65535) {
-        return Fail::failure("ftmc_serve: --port expects 0..65535");
-      }
       opt.tcp.port = static_cast<std::uint16_t>(*n);
     } else if (flag == "--bind") {
       auto v = value();
       if (!v) return Fail::failure(v.error());
       opt.tcp.bind_address = *v;
     } else if (flag == "--threads") {
-      auto n = int_value();
+      auto n = int_value(INT_MIN, INT_MAX);
       if (!n) return Fail::failure(n.error());
       opt.server.threads = static_cast<int>(*n);
     } else if (flag == "--cache-entries") {
-      auto n = int_value();
+      auto n = int_value(0, LLONG_MAX);
       if (!n) return Fail::failure(n.error());
-      if (*n < 0) {
-        return Fail::failure(
-            "ftmc_serve: --cache-entries expects a non-negative integer");
-      }
       opt.server.cache_entries = static_cast<std::size_t>(*n);
     } else if (flag == "--max-frame-bytes") {
-      auto n = int_value();
+      auto n = int_value(4, LLONG_MAX);
       if (!n) return Fail::failure(n.error());
-      if (*n < 4) {
-        return Fail::failure(
-            "ftmc_serve: --max-frame-bytes expects an integer >= 4");
-      }
       opt.server.max_frame_bytes = static_cast<std::size_t>(*n);
     } else {
       return Fail::failure("ftmc_serve: unknown flag \"" + flag + "\"\n" +

@@ -27,9 +27,9 @@
 #include <string_view>
 
 #include "ftmc/campaign/cache.hpp"
+#include "ftmc/net/frame.hpp"
 #include "ftmc/obs/registry.hpp"
 #include "ftmc/obs/span.hpp"
-#include "ftmc/serve/protocol.hpp"
 
 namespace ftmc::serve {
 
@@ -41,8 +41,8 @@ struct ServerOptions {
   /// Answer-cache capacity in entries; 0 = unbounded. A full cache
   /// declines new entries (answers are then recomputed, never wrong).
   std::size_t cache_entries = 1u << 16;
-  /// Frame payload ceiling for the transports (see protocol.hpp).
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
+  /// Frame payload ceiling for the transports (see ftmc/net/frame.hpp).
+  std::size_t max_frame_bytes = net::kDefaultMaxFrameBytes;
 };
 
 /// Metric handles of the serve layer (registered in

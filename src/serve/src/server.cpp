@@ -183,16 +183,6 @@ struct AdmissionOnlyHost final : rt::Host {
   void emit(const rt::Event&) override {}
 };
 
-[[nodiscard]] rt::Adaptation to_rt(mcs::AdaptationKind kind) {
-  switch (kind) {
-    case mcs::AdaptationKind::kNone: return rt::Adaptation::kNone;
-    case mcs::AdaptationKind::kKilling: return rt::Adaptation::kKilling;
-    case mcs::AdaptationKind::kDegradation:
-      return rt::Adaptation::kDegradation;
-  }
-  return rt::Adaptation::kNone;
-}
-
 /// The runtime-core view of the query: the Lemma 4.1 conversion fixes
 /// the virtual-deadline factor, then the actual rt::Core density test
 /// rules on each task in registration order — the same verdicts an
@@ -202,12 +192,12 @@ struct AdmissionOnlyHost final : rt::Host {
       core::convert_to_mc(q.ts, q.n_hi, q.n_lo, q.n_adapt);
   const mcs::EdfVdAnalysis vd = mcs::analyze_edf_vd(mc);
   const double x = vd.schedulable ? vd.x : 1.0;
-  const std::vector<sim::SimTask> sim_tasks =
+  const std::vector<rt::Task> rt_tasks =
       sim::build_sim_tasks(q.ts, q.n_hi, q.n_lo, q.n_adapt, x);
 
   rt::CoreConfig cfg;
   cfg.policy = rt::Policy::kEdfVd;
-  cfg.adaptation = to_rt(campaign::adaptation_of(q.scheduler));
+  cfg.adaptation = campaign::adaptation_of(q.scheduler);
   if (cfg.adaptation == rt::Adaptation::kDegradation) {
     cfg.degradation_factor = q.degradation_factor;
   }
@@ -217,19 +207,9 @@ struct AdmissionOnlyHost final : rt::Host {
 
   bool all_admitted = true;
   std::vector<std::string> tasks;
-  tasks.reserve(sim_tasks.size());
-  for (const sim::SimTask& t : sim_tasks) {
-    rt::TaskParams p;
-    p.period = t.period;
-    p.deadline = t.deadline;
-    p.wcet = t.wcet;
-    p.virtual_deadline = t.virtual_deadline;
-    p.crit = t.crit;
-    p.max_attempts = t.max_attempts;
-    p.adapt_threshold = t.adapt_threshold;
-    p.priority = t.priority;
-    p.segments = t.segments;
-    const rt::Admission verdict = rt_core.add_task(p);
+  tasks.reserve(rt_tasks.size());
+  for (const rt::Task& t : rt_tasks) {
+    const rt::Admission verdict = rt_core.add_task(t);
     all_admitted = all_admitted && verdict.admitted;
     io::json::Object item;
     item.add_string("name", t.name).add_bool("admitted", verdict.admitted);

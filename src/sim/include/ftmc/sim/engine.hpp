@@ -11,22 +11,20 @@
 ///  - under EDF-VD, HI jobs are ordered by virtual deadline in LO mode and
 ///    by true deadline in HI mode.
 ///
-/// Since the ftmc::rt extraction the simulator is a *host* of the
-/// freestanding runtime core (`ftmc::rt::Core`): it owns time (the
-/// discrete-event release queue), randomness (execution times, faults,
-/// sporadic jitter) and observation (trace, metrics, statistics), while
-/// every scheduling decision — who runs, virtual deadlines, the
-/// criticality switch, re-execution, degradation — is the core's.
-/// docs/runtime.md describes the split; the POSIX demo host
-/// (ftmc::rt::PosixHost) drives the identical core in real time.
+/// The simulator is the runtime core's host loop (ftmc::rt::Driver) run on
+/// virtual time: the loop owns the release queue, arrivals, execution
+/// times and faults, the core makes every scheduling decision — who runs,
+/// virtual deadlines, the criticality switch, re-execution, degradation —
+/// and the simulator adds observation (trace, metrics, statistics).
+/// docs/runtime.md describes the split; the POSIX host (ftmc::rt::PosixHost)
+/// runs the identical loop against the wall clock.
 #pragma once
 
 #include <optional>
-#include <random>
 
 #include "ftmc/mcs/schedulability.hpp"
 #include "ftmc/obs/registry.hpp"
-#include "ftmc/rt/core.hpp"
+#include "ftmc/rt/driver.hpp"
 #include "ftmc/sim/model.hpp"
 #include "ftmc/sim/stats.hpp"
 #include "ftmc/sim/trace.hpp"
@@ -58,9 +56,9 @@ struct SimConfig {
   ExecTimeModel exec_model = ExecTimeModel::kAlwaysWcet;
   double exec_min_fraction = 1.0;  ///< lower bound for kUniform
 
-  /// Fault model: random per-attempt faults, or the deterministic
-  /// worst-case adversary that consumes every job's full re-execution
-  /// budget (see FaultAdversary).
+  /// Fault model (rt::FaultModel): random per-attempt faults, the
+  /// deterministic worst-case adversary that consumes every job's full
+  /// re-execution budget, or none.
   FaultAdversary fault_adversary = FaultAdversary::kBernoulli;
 
   /// Return to LO mode at the first processor-idle instant after a switch
@@ -85,11 +83,17 @@ struct SimConfig {
   obs::Registry* registry = nullptr;
 };
 
-/// The simulator: host #1 of ftmc::rt::Core. Construct, run once,
-/// inspect stats/trace.
-class Simulator : private rt::Host {
+/// The simulator: the host loop on virtual time plus trace and metrics
+/// recording. Construct, run once, inspect stats/trace.
+class Simulator : private rt::Driver {
  public:
-  Simulator(std::vector<SimTask> tasks, SimConfig config);
+  Simulator(std::vector<SimTask> tasks, const SimConfig& config);
+
+  /// Runs exactly `run` — loop inputs another host derived, its whole core
+  /// configuration included — keeping up to `trace_capacity` events.
+  /// Replay rebuilds a PosixHost run this way (rt::run_config).
+  Simulator(std::vector<SimTask> tasks, const rt::RunConfig& run,
+            std::size_t trace_capacity, obs::Registry* registry = nullptr);
 
   /// Runs the full horizon and returns the aggregated statistics.
   /// May be called once per instance.
@@ -98,14 +102,12 @@ class Simulator : private rt::Host {
   [[nodiscard]] const std::vector<TraceEvent>& trace() const noexcept {
     return trace_;
   }
-  [[nodiscard]] const std::vector<SimTask>& tasks() const noexcept {
-    return tasks_;
-  }
+  using Driver::tasks;
 
   /// The core's black-box flight recorder (valid for the simulator's
   /// lifetime; inspect after run() for the post-mortem tail).
   [[nodiscard]] const rt::FlightRecorder& black_box() const noexcept {
-    return core_->black_box();
+    return core().black_box();
   }
 
   /// Total temporal-domain failures (exhausted re-execution budgets,
@@ -121,65 +123,25 @@ class Simulator : private rt::Host {
                                      CritLevel level) const;
 
  private:
-  struct Event {
-    Tick time = 0;
-    std::uint64_t seq = 0;  ///< FIFO tiebreak for determinism
-    std::uint32_t task = 0;
-  };
-  friend bool operator>(const Event& a, const Event& b) {
-    return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-  }
-
-  // rt::Host interface — the core calls back into the simulator for
-  // randomness and observation.
-  [[nodiscard]] Tick sample_segment_time(std::uint32_t task) override;
-  [[nodiscard]] bool sample_fault(std::uint32_t task,
-                                  int faults_so_far) override;
-  void emit(const rt::Event& event) override;
-  void on_mode_change(CritLevel mode, Tick now) override;
-
-  void schedule_next_release(std::uint32_t task_index, Tick from);
-  void push_release(std::uint32_t task_index, Tick at);
-  void record_slow(Tick time, TraceKind kind, std::uint32_t task,
-                   std::uint64_t job, std::uint32_t detail);
-  /// Hot-path event sink: a single byte test when neither tracing nor
+  /// Trace sink of the loop. A single byte test when neither tracing nor
   /// metrics are attached (the common case), everything else out of line.
-  void record(Tick time, TraceKind kind, std::uint32_t task,
-              std::uint64_t job, std::uint32_t detail = 0) {
-    if (record_flags_ != 0) record_slow(time, kind, task, job, detail);
+  void emit(const rt::Event& event) override {
+    if (record_flags_ != 0) record_slow(event);
   }
+  void record_slow(const rt::Event& event);
 
   /// Bits of record_flags_.
   static constexpr std::uint8_t kRecordTrace = 1;    ///< trace buffer on
   static constexpr std::uint8_t kRecordMetrics = 2;  ///< registry attached
 
-  std::vector<SimTask> tasks_;
-  SimConfig config_;
-  std::mt19937_64 rng_;
-
-  // Run state (the host half: arrivals; the ready queue and mode live in
-  // the core).
-  std::optional<rt::Core> core_;
-  /// Pending releases, sorted descending by (time, seq): back() is the
-  /// earliest event, so pop is pop_back(). The storage is reserved for the
-  /// steady-state population at construction (one live entry per task plus
-  /// slack for mode-change duplicates), making the release path
-  /// allocation-free in steady state. Replaces a binary heap: the queue
-  /// holds ~n_tasks entries, where a sorted array beats heap sifting and
-  /// — unlike a per-task table — provably preserves the heap's exact
-  /// (time, seq) pop order, stale duplicates included.
-  std::vector<Event> release_queue_;
-  std::vector<Tick> next_release_;  // per task; kNever when suppressed
-  std::uint64_t event_seq_ = 0;
-  bool ran_ = false;
-
-  SimStats stats_;
+  std::uint8_t record_flags_ = 0;  ///< kRecordTrace | kRecordMetrics
+  std::size_t trace_capacity_ = 0;
   std::vector<TraceEvent> trace_;
 
   /// Registry handles, resolved once at construction (see
   /// SimConfig::registry). Engaged only when a registry is attached.
-  /// Declared last: the cold handles must not shift the scheduler's hot
-  /// state across cache lines.
+  /// Declared last: the cold handles must not shift the hot state across
+  /// cache lines.
   struct Metrics {
     obs::Counter releases, dispatches, preemptions, reexecutions,
         completions, job_failures, deadline_misses, mode_switches,
@@ -187,7 +149,6 @@ class Simulator : private rt::Host {
     std::vector<obs::Histogram> response_us;  ///< per task
   };
   std::optional<Metrics> metrics_;
-  std::uint8_t record_flags_ = 0;  ///< kRecordTrace | kRecordMetrics
 };
 
 /// One-call helper: build tasks from the analysis model, run, and return

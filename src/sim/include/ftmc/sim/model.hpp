@@ -15,72 +15,15 @@
 #include "ftmc/common/time.hpp"
 #include "ftmc/core/ft_task.hpp"
 #include "ftmc/mcs/schedulability.hpp"
+#include "ftmc/rt/driver.hpp"
 
 namespace ftmc::sim {
 
-/// Scheduling policy executed by the simulator.
-enum class PolicyKind {
-  kEdf,            ///< single-criticality EDF on true deadlines
-  kEdfVd,          ///< EDF-VD: virtual deadlines for HI jobs in LO mode
-  kFixedPriority,  ///< fixed priorities (deadline-monotonic by default)
-};
-
-/// One task as the simulator sees it. All times in ticks (1 us).
-struct SimTask {
-  std::string name;
-  Tick period = 0;        ///< minimal inter-arrival in LO mode
-  Tick deadline = 0;      ///< relative deadline
-  Tick wcet = 0;          ///< budget of ONE execution attempt (C_i)
-  CritLevel crit = CritLevel::LO;
-  int max_attempts = 1;   ///< n_i: attempts per job before giving up
-  /// n'_i: starting attempt number max_attempts >= a > adapt_threshold of a
-  /// HI job triggers the mode switch. Ignored for LO tasks. A value >=
-  /// max_attempts means the trigger can never fire.
-  int adapt_threshold = 1;
-  double failure_prob = 0.0;  ///< f_i per attempt
-  /// Relative virtual deadline used for HI jobs in LO mode under kEdfVd
-  /// (x * D_i); LO tasks and other policies ignore it.
-  Tick virtual_deadline = 0;
-  /// Priority for kFixedPriority (smaller = more important).
-  int priority = 0;
-
-  /// Checkpointing (core::CheckpointScheme semantics): a job runs as
-  /// `segments` pieces of C/k each plus a checkpoint save of
-  /// `checkpoint_overhead * C` after each piece; a fault re-runs only the
-  /// current segment. `max_attempts` then bounds total segment faults to
-  /// max_attempts - 1 (= the retry budget R), and the mode switch
-  /// triggers once a HI job has accumulated `adapt_threshold` faults.
-  /// segments == 1 with zero overhead is exactly the paper's full
-  /// re-execution model.
-  int segments = 1;
-  double checkpoint_overhead = 0.0;
-
-  /// Effective per-segment failure probability: 1 - (1-f)^(1/k), i.e.
-  /// faults arrive proportionally to executed length.
-  [[nodiscard]] double segment_failure_prob() const;
-  /// Nominal duration of one segment including its checkpoint save.
-  [[nodiscard]] Tick segment_wcet() const;
-};
-
-/// How long one execution attempt takes at runtime.
-enum class ExecTimeModel {
-  kAlwaysWcet,  ///< every attempt takes exactly C_i (paper footnote 1)
-  kUniform,     ///< uniform in [exec_min_fraction * C_i, C_i]
-};
-
-/// Who decides whether an execution attempt's sanity check fails.
-enum class FaultAdversary {
-  /// i.i.d. per-attempt faults with probability f_i (the paper's fault
-  /// model; the default).
-  kBernoulli,
-  /// Deterministic worst case: every job fails all but its last permitted
-  /// attempt and succeeds on the last one. Demand is maximal (a job
-  /// consumes its full re-execution budget n_i * C_i), the criticality
-  /// change of a HI job fires at the latest possible instant, and — unlike
-  /// f_i -> 1 — every job still completes, so deadline misses remain
-  /// observable. Used by ftmc::check to validate schedulability claims.
-  kExhaustBudget,
-};
+// The runtime vocabulary under the simulator's historical names.
+using PolicyKind = rt::Policy;
+using SimTask = rt::Task;
+using ExecTimeModel = rt::ExecTimeModel;
+using FaultAdversary = rt::FaultModel;
 
 /// Builds the simulator task list from the analysis-level model:
 /// re-execution profiles n, adaptation profiles n', and (for kEdfVd) the

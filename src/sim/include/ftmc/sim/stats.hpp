@@ -2,58 +2,12 @@
 /// \brief Aggregated statistics of a simulation run.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "ftmc/common/criticality.hpp"
-#include "ftmc/common/time.hpp"
+#include "ftmc/rt/driver.hpp"
 
 namespace ftmc::sim {
 
-/// Per-task counters.
-struct TaskStats {
-  std::uint64_t released = 0;    ///< jobs that arrived
-  std::uint64_t completed = 0;   ///< jobs that finished successfully
-  std::uint64_t attempts = 0;    ///< execution attempts dispatched
-  std::uint64_t faults = 0;      ///< attempts whose sanity check failed
-  std::uint64_t job_failures = 0;  ///< jobs whose every attempt failed
-  std::uint64_t killed = 0;      ///< jobs discarded at a mode switch
-  std::uint64_t deadline_misses = 0;  ///< completions after the deadline
-  Tick max_response = 0;    ///< worst observed response time (completions)
-  Tick total_response = 0;  ///< sum of response times over completions
-
-  /// Mean observed response time of completed jobs (0 if none completed).
-  [[nodiscard]] double avg_response() const {
-    return completed > 0 ? static_cast<double>(total_response) /
-                               static_cast<double>(completed)
-                         : 0.0;
-  }
-  /// Temporal-domain failures in the paper's sense (Sec. 2.1): a job fails
-  /// if it "does not successfully finish by its deadline" — exhausted
-  /// attempts, killed, or completed late.
-  [[nodiscard]] std::uint64_t temporal_failures() const {
-    return job_failures + killed + deadline_misses;
-  }
-};
-
-/// Whole-run statistics.
-struct SimStats {
-  std::vector<TaskStats> per_task;
-  std::uint64_t preemptions = 0;
-  std::uint64_t mode_switches = 0;  ///< LO -> HI transitions
-  std::uint64_t mode_resets = 0;    ///< HI -> LO transitions (if enabled)
-  Tick first_mode_switch = kNever;
-  Tick busy_time = 0;  ///< processor non-idle time
-  Tick horizon = 0;    ///< simulated duration
-
-  [[nodiscard]] double utilization_observed() const {
-    return horizon > 0 ? static_cast<double>(busy_time) /
-                             static_cast<double>(horizon)
-                       : 0.0;
-  }
-  [[nodiscard]] double simulated_hours() const {
-    return static_cast<double>(horizon) / static_cast<double>(kTicksPerHour);
-  }
-};
+// The host loop's statistics under the simulator's historical names.
+using TaskStats = rt::TaskCounters;
+using SimStats = rt::RunStats;
 
 }  // namespace ftmc::sim

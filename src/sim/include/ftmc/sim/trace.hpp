@@ -1,5 +1,6 @@
 /// \file trace.hpp
-/// \brief Execution trace of the simulator (bounded, optional).
+/// \brief Execution traces (bounded, optional) and their CSV / Chrome
+///        trace-event exports.
 #pragma once
 
 #include <cstdint>
@@ -9,37 +10,14 @@
 #include <vector>
 
 #include "ftmc/common/time.hpp"
+#include "ftmc/rt/event.hpp"
 
 namespace ftmc::sim {
 
-/// What happened at a trace point.
-enum class TraceKind : std::uint8_t {
-  kRelease,      ///< a job arrived
-  kStart,        ///< a job (attempt) got the processor
-  kPreempt,      ///< the running job was preempted
-  kAttemptFail,  ///< an attempt finished but the sanity check failed
-  kComplete,     ///< a job finished successfully
-  kJobFail,      ///< all attempts of a job failed
-  kDeadlineMiss, ///< a job completed after its absolute deadline
-  kModeSwitch,   ///< the system entered HI mode
-  kModeReset,    ///< the system returned to LO mode (idle instant)
-  kKill,         ///< a LO job was discarded at the mode switch
-};
-
-[[nodiscard]] std::string_view to_string(TraceKind kind);
-
-/// One trace record. `task` indexes the simulator task list; `job` is the
-/// per-task job sequence number; `detail` is kind-specific (attempt number
-/// for kStart/kAttemptFail, 0 otherwise).
-struct TraceEvent {
-  Tick time = 0;
-  TraceKind kind = TraceKind::kRelease;
-  std::uint32_t task = 0;
-  std::uint64_t job = 0;
-  std::uint32_t detail = 0;
-};
-
-std::ostream& operator<<(std::ostream& os, const TraceEvent& ev);
+// The runtime core's event vocabulary under the simulator's historical
+// names: a trace is the event stream the core emitted.
+using TraceKind = rt::EventKind;
+using TraceEvent = rt::Event;
 
 /// RFC-4180 CSV field quoting: fields containing commas, double quotes,
 /// or line breaks are wrapped in double quotes with embedded quotes

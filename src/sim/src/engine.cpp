@@ -1,126 +1,46 @@
 #include "ftmc/sim/engine.hpp"
 
-#include <algorithm>
-#include <limits>
-
 #include "ftmc/common/contracts.hpp"
 
 namespace ftmc::sim {
 
 namespace {
 
-// The simulator's TraceKind and the core's EventKind mirror each other
-// one-to-one; the static_asserts pin the mapping the emit() cast relies on.
-static_assert(static_cast<int>(TraceKind::kRelease) ==
-              static_cast<int>(rt::EventKind::kRelease));
-static_assert(static_cast<int>(TraceKind::kStart) ==
-              static_cast<int>(rt::EventKind::kStart));
-static_assert(static_cast<int>(TraceKind::kPreempt) ==
-              static_cast<int>(rt::EventKind::kPreempt));
-static_assert(static_cast<int>(TraceKind::kAttemptFail) ==
-              static_cast<int>(rt::EventKind::kAttemptFail));
-static_assert(static_cast<int>(TraceKind::kComplete) ==
-              static_cast<int>(rt::EventKind::kComplete));
-static_assert(static_cast<int>(TraceKind::kJobFail) ==
-              static_cast<int>(rt::EventKind::kJobFail));
-static_assert(static_cast<int>(TraceKind::kDeadlineMiss) ==
-              static_cast<int>(rt::EventKind::kDeadlineMiss));
-static_assert(static_cast<int>(TraceKind::kModeSwitch) ==
-              static_cast<int>(rt::EventKind::kModeSwitch));
-static_assert(static_cast<int>(TraceKind::kModeReset) ==
-              static_cast<int>(rt::EventKind::kModeReset));
-static_assert(static_cast<int>(TraceKind::kKill) ==
-              static_cast<int>(rt::EventKind::kKill));
-
-rt::Policy to_rt(PolicyKind policy) {
-  switch (policy) {
-    case PolicyKind::kEdf: return rt::Policy::kEdf;
-    case PolicyKind::kEdfVd: return rt::Policy::kEdfVd;
-    case PolicyKind::kFixedPriority: return rt::Policy::kFixedPriority;
-  }
-  FTMC_ENSURES(false, "unreachable policy kind");
-  return rt::Policy::kEdf;
-}
-
-rt::Adaptation to_rt(mcs::AdaptationKind adaptation) {
-  switch (adaptation) {
-    case mcs::AdaptationKind::kNone: return rt::Adaptation::kNone;
-    case mcs::AdaptationKind::kKilling: return rt::Adaptation::kKilling;
-    case mcs::AdaptationKind::kDegradation:
-      return rt::Adaptation::kDegradation;
-  }
-  FTMC_ENSURES(false, "unreachable adaptation kind");
-  return rt::Adaptation::kNone;
-}
-
-rt::TaskParams to_params(const SimTask& task) {
-  rt::TaskParams p;
-  p.period = task.period;
-  p.deadline = task.deadline;
-  p.wcet = task.wcet;
-  p.virtual_deadline = task.virtual_deadline;
-  p.crit = task.crit;
-  p.max_attempts = task.max_attempts;
-  p.adapt_threshold = task.adapt_threshold;
-  p.priority = task.priority;
-  p.segments = task.segments;
-  return p;
+/// The loop inputs of a simulator run. The simulator opts into job-pool
+/// growth: an overloaded scenario may queue an unbounded ready backlog,
+/// and a simulator prefers completing the run over enforcing the embedded
+/// no-alloc contract.
+rt::RunConfig run_config(const SimConfig& config) {
+  rt::RunConfig run;
+  run.core.policy = config.policy;
+  run.core.adaptation = config.adaptation;
+  run.core.degradation_factor = config.degradation_factor;
+  run.core.mode_reset_on_idle = config.mode_reset_on_idle;
+  run.core.max_jobs = 64;
+  run.core.allow_job_growth = true;
+  run.core.black_box_capacity = config.black_box_capacity;
+  run.horizon = config.horizon;
+  run.seed = config.seed;
+  run.faults = config.fault_adversary;
+  run.exec_model = config.exec_model;
+  run.exec_min_fraction = config.exec_min_fraction;
+  run.random_phasing = config.random_phasing;
+  run.sporadic_arrivals = config.sporadic_arrivals;
+  run.jitter_fraction = config.jitter_fraction;
+  return run;
 }
 
 }  // namespace
 
-Simulator::Simulator(std::vector<SimTask> tasks, SimConfig config)
-    : tasks_(std::move(tasks)), config_(config), rng_(config.seed) {
-  FTMC_EXPECTS(!tasks_.empty(), "simulator needs at least one task");
-  FTMC_EXPECTS(config_.horizon > 0, "simulation horizon must be positive");
-  for (const SimTask& t : tasks_) {
-    FTMC_EXPECTS(t.period > 0 && t.deadline > 0 && t.wcet > 0,
-                 "task '" + t.name + "': malformed timing parameters");
-    FTMC_EXPECTS(t.max_attempts >= 1,
-                 "task '" + t.name + "': needs at least one attempt");
-    FTMC_EXPECTS(t.failure_prob >= 0.0 && t.failure_prob < 1.0,
-                 "task '" + t.name + "': failure probability out of range");
-    FTMC_EXPECTS(t.virtual_deadline > 0 && t.virtual_deadline <= t.deadline,
-                 "task '" + t.name + "': virtual deadline out of range");
-    FTMC_EXPECTS(t.segments >= 1,
-                 "task '" + t.name + "': needs at least one segment");
-    FTMC_EXPECTS(t.checkpoint_overhead >= 0.0 && t.checkpoint_overhead < 1.0,
-                 "task '" + t.name + "': checkpoint overhead out of range");
-  }
-  if (config_.adaptation == mcs::AdaptationKind::kDegradation) {
-    FTMC_EXPECTS(config_.degradation_factor >= 1.0,
-                 "degradation factor must be >= 1");
-  }
-  if (config_.exec_model == ExecTimeModel::kUniform) {
-    FTMC_EXPECTS(config_.exec_min_fraction > 0.0 &&
-                     config_.exec_min_fraction <= 1.0,
-                 "exec_min_fraction must lie in (0, 1]");
-  }
-  stats_.per_task.resize(tasks_.size());
-  next_release_.assign(tasks_.size(), 0);
-  // Event arena: one live release per task, plus slack for the stale
-  // duplicates mode changes leave behind. Grows only in pathological
-  // kill/re-admit churn.
-  release_queue_.reserve(tasks_.size() * 4 + 8);
+Simulator::Simulator(std::vector<SimTask> tasks, const SimConfig& config)
+    : Simulator(std::move(tasks), run_config(config), config.trace_capacity,
+                config.registry) {}
 
-  // The scheduling core. The DES host opts into job-pool growth: an
-  // overloaded scenario may queue an unbounded ready backlog, and a
-  // simulator prefers completing the run over enforcing the embedded
-  // no-alloc contract.
-  rt::CoreConfig core_config;
-  core_config.policy = to_rt(config_.policy);
-  core_config.adaptation = to_rt(config_.adaptation);
-  core_config.degradation_factor = config_.degradation_factor;
-  core_config.mode_reset_on_idle = config_.mode_reset_on_idle;
-  core_config.max_jobs = 64;
-  core_config.allow_job_growth = true;
-  core_config.black_box_capacity = config_.black_box_capacity;
-  core_.emplace(core_config, static_cast<rt::Host&>(*this));
-  for (const SimTask& t : tasks_) core_->add_task(to_params(t));
-  core_->start();
-
-  if (config_.registry != nullptr) {
-    obs::Registry& reg = *config_.registry;
+Simulator::Simulator(std::vector<SimTask> tasks, const rt::RunConfig& run,
+                     std::size_t trace_capacity, obs::Registry* registry)
+    : Driver(std::move(tasks), run), trace_capacity_(trace_capacity) {
+  if (registry != nullptr) {
+    obs::Registry& reg = *registry;
     Metrics m;
     m.releases = reg.counter("sim.releases");
     m.dispatches = reg.counter("sim.dispatches");
@@ -132,34 +52,38 @@ Simulator::Simulator(std::vector<SimTask> tasks, SimConfig config)
     m.mode_switches = reg.counter("sim.mode_switches");
     m.mode_resets = reg.counter("sim.mode_resets");
     m.kills = reg.counter("sim.kills");
-    m.response_us.reserve(tasks_.size());
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
-      const std::string& name = tasks_[i].name;
+    const std::vector<SimTask>& all = Driver::tasks();
+    m.response_us.reserve(all.size());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      const std::string& name = all[i].name;
       m.response_us.push_back(reg.histogram(
           "sim.response_us." +
           (name.empty() ? "task" + std::to_string(i) : name)));
     }
     metrics_.emplace(std::move(m));
   }
-  if (config_.trace_capacity > 0) record_flags_ |= kRecordTrace;
+  if (trace_capacity_ > 0) record_flags_ |= kRecordTrace;
   if (metrics_) record_flags_ |= kRecordMetrics;
 }
 
-// Out of line and cold: record() itself is a single byte test (see
+// Out of line and cold: emit() itself is a single byte test (see
 // engine.hpp), so a run with neither tracing nor metrics attached pays
 // nothing measurable per event.
 __attribute__((noinline, cold)) void Simulator::record_slow(
-    Tick time, TraceKind kind, std::uint32_t task, std::uint64_t job,
-    std::uint32_t detail) {
+    const rt::Event& event) {
   if ((record_flags_ & kRecordMetrics) != 0) {
-    // Metrics piggyback on the trace-event stream but don't need (or
-    // grow) the trace buffer.
-    switch (kind) {
+    // Metrics piggyback on the event stream but don't need (or grow) the
+    // trace buffer.
+    switch (event.kind) {
       case TraceKind::kRelease: metrics_->releases.inc(); break;
       case TraceKind::kStart: metrics_->dispatches.inc(); break;
       case TraceKind::kPreempt: metrics_->preemptions.inc(); break;
       case TraceKind::kAttemptFail: metrics_->reexecutions.inc(); break;
-      case TraceKind::kComplete: metrics_->completions.inc(); break;
+      case TraceKind::kComplete:
+        metrics_->completions.inc();
+        metrics_->response_us[event.task].observe(
+            static_cast<double>(event.time - event.release));
+        break;
       case TraceKind::kJobFail: metrics_->job_failures.inc(); break;
       case TraceKind::kDeadlineMiss:
         metrics_->deadline_misses.inc();
@@ -170,193 +94,21 @@ __attribute__((noinline, cold)) void Simulator::record_slow(
     }
   }
   if ((record_flags_ & kRecordTrace) != 0 &&
-      trace_.size() < config_.trace_capacity) {
-    trace_.push_back({time, kind, task, job, detail});
+      trace_.size() < trace_capacity_) {
+    trace_.push_back(event);
   }
-}
-
-Tick Simulator::sample_segment_time(std::uint32_t task) {
-  const Tick nominal = tasks_[task].segment_wcet();
-  if (config_.exec_model == ExecTimeModel::kAlwaysWcet) return nominal;
-  std::uniform_real_distribution<double> dist(config_.exec_min_fraction, 1.0);
-  const Tick t = static_cast<Tick>(dist(rng_) *
-                                   static_cast<double>(nominal));
-  return std::max<Tick>(t, 1);
-}
-
-bool Simulator::sample_fault(std::uint32_t task, int faults_so_far) {
-  if (config_.fault_adversary == FaultAdversary::kExhaustBudget) {
-    // Worst-case adversary: fail every segment execution while the job
-    // still has retry budget left, succeed on the last permitted one.
-    return faults_so_far < tasks_[task].max_attempts - 1;
-  }
-  std::bernoulli_distribution fault(tasks_[task].segment_failure_prob());
-  return fault(rng_);
-}
-
-void Simulator::emit(const rt::Event& event) {
-  if (event.kind == rt::EventKind::kComplete && metrics_) {
-    metrics_->response_us[event.task].observe(
-        static_cast<double>(event.time - event.release));
-  }
-  record(event.time, static_cast<TraceKind>(event.kind), event.task,
-         event.job, event.detail);
-}
-
-void Simulator::push_release(std::uint32_t task_index, Tick at) {
-  next_release_[task_index] = at;
-  const Event ev{at, ++event_seq_, task_index};
-  // Keep the queue sorted descending by (time, seq); back() stays the
-  // earliest pending event. (time, seq) is a total order — seq is unique —
-  // so the resulting pop sequence is exactly the old heap's.
-  const auto pos =
-      std::upper_bound(release_queue_.begin(), release_queue_.end(), ev,
-                       [](const Event& a, const Event& b) { return a > b; });
-  release_queue_.insert(pos, ev);
-}
-
-void Simulator::on_mode_change(CritLevel mode, Tick now) {
-  if (mode == CritLevel::HI) {
-    if (config_.adaptation == mcs::AdaptationKind::kKilling) {
-      // Suppress future LO releases.
-      for (std::uint32_t i = 0; i < tasks_.size(); ++i) {
-        if (tasks_[i].crit == CritLevel::LO) next_release_[i] = kNever;
-      }
-    } else if (config_.adaptation == mcs::AdaptationKind::kDegradation) {
-      // Pending next releases are pushed out so that the inter-arrival
-      // from the *previous* release grows to d_f * T.
-      for (std::uint32_t i = 0; i < tasks_.size(); ++i) {
-        const SimTask& task = tasks_[i];
-        if (task.crit != CritLevel::LO || next_release_[i] == kNever) {
-          continue;
-        }
-        push_release(i, next_release_[i] +
-                            static_cast<Tick>(
-                                (config_.degradation_factor - 1.0) *
-                                static_cast<double>(task.period)));
-      }
-    }
-    return;
-  }
-  // HI -> LO reset at an idle instant.
-  if (config_.adaptation == mcs::AdaptationKind::kKilling) {
-    // Re-admit LO tasks from this idle instant on.
-    for (std::uint32_t i = 0; i < tasks_.size(); ++i) {
-      if (tasks_[i].crit == CritLevel::LO && next_release_[i] == kNever) {
-        push_release(i, now);
-      }
-    }
-  }
-}
-
-void Simulator::schedule_next_release(std::uint32_t task_index, Tick from) {
-  // current_period() folds in the d_f stretch of LO tasks in HI mode.
-  const double period = core_->current_period(task_index);
-  Tick gap = static_cast<Tick>(period);
-  if (config_.sporadic_arrivals) {
-    std::exponential_distribution<double> jitter(
-        1.0 / (config_.jitter_fraction * period));
-    gap += static_cast<Tick>(jitter(rng_));
-  }
-  push_release(task_index, from + gap);
 }
 
 SimStats Simulator::run() {
-  FTMC_EXPECTS(!ran_, "Simulator::run may only be called once");
-  ran_ = true;
-  stats_.horizon = config_.horizon;
-
-  // Synchronous release at t = 0 (the critical instant), or uniformly
-  // random phases when configured.
-  for (std::uint32_t i = 0; i < tasks_.size(); ++i) {
-    Tick phase = 0;
-    if (config_.random_phasing) {
-      std::uniform_int_distribution<Tick> dist(0, tasks_[i].period - 1);
-      phase = dist(rng_);
-    }
-    next_release_[i] = phase;
-    release_queue_.push_back({phase, ++event_seq_, i});
-  }
-  std::sort(release_queue_.begin(), release_queue_.end(),
-            [](const Event& a, const Event& b) { return a > b; });
-
-  Tick now = 0;
-  rt::Core& core = *core_;
-
-  const auto pop_due_releases = [&](Tick time) {
-    while (!release_queue_.empty() && release_queue_.back().time <= time) {
-      const Event ev = release_queue_.back();
-      release_queue_.pop_back();
-      // Stale entries (task postponed/suppressed since scheduling).
-      if (next_release_[ev.task] != ev.time) continue;
-      core.on_release(ev.task, ev.time);
-      schedule_next_release(ev.task, ev.time);
-    }
-  };
-
-  while (now < config_.horizon) {
-    if (!core.has_ready()) {
-      // Idle until the next release (if any within the horizon).
-      core.on_idle(now);
-      Tick next = kNever;
-      while (!release_queue_.empty()) {
-        const Event& top = release_queue_.back();
-        if (next_release_[top.task] != top.time) {
-          release_queue_.pop_back();
-          continue;
-        }
-        next = top.time;
-        break;
-      }
-      if (next == kNever || next >= config_.horizon) break;
-      now = next;
-      pop_due_releases(now);
-      continue;
-    }
-
-    core.dispatch(now);
-
-    const Tick completion = now + core.running_remaining();
-    Tick next_rel = kNever;
-    if (!release_queue_.empty()) next_rel = release_queue_.back().time;
-    const Tick until = std::min({completion, next_rel, config_.horizon});
-
-    stats_.busy_time += until - now;
-    core.run_for(until - now);
-    now = until;
-    if (now >= config_.horizon) break;
-
-    if (core.running_remaining() == 0) core.on_segment_boundary(now);
-    pop_due_releases(now);
-  }
-
-  // Fold the core's policy-level counters into the run statistics.
-  const rt::CoreCounters& cc = core.counters();
-  stats_.preemptions = cc.preemptions;
-  stats_.mode_switches = cc.mode_switches;
-  stats_.mode_resets = cc.mode_resets;
-  stats_.first_mode_switch = cc.first_mode_switch;
-  for (std::uint32_t i = 0; i < tasks_.size(); ++i) {
-    const rt::TaskCounters& tc = core.task_counters(i);
-    TaskStats& ts = stats_.per_task[i];
-    ts.released = tc.released;
-    ts.completed = tc.completed;
-    ts.attempts = tc.attempts;
-    ts.faults = tc.faults;
-    ts.job_failures = tc.job_failures;
-    ts.killed = tc.killed;
-    ts.deadline_misses = tc.deadline_misses;
-    ts.max_response = tc.max_response;
-    ts.total_response = tc.total_response;
-  }
-  return stats_;
+  rt::VirtualClock clock;
+  return Driver::run(clock);
 }
 
 std::uint64_t Simulator::failure_count(const SimStats& stats,
                                        CritLevel level) const {
   std::uint64_t failures = 0;
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    if (tasks_[i].crit == level) {
+  for (std::size_t i = 0; i < tasks().size(); ++i) {
+    if (tasks()[i].crit == level) {
       failures += stats.per_task[i].temporal_failures();
     }
   }

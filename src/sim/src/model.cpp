@@ -5,19 +5,8 @@
 #include <numeric>
 
 #include "ftmc/common/contracts.hpp"
-#include "ftmc/rt/types.hpp"
 
 namespace ftmc::sim {
-
-// Both delegate to the ftmc::rt helpers: segment accounting must be
-// bit-identical across every host of the runtime core.
-double SimTask::segment_failure_prob() const {
-  return rt::segment_failure_prob(failure_prob, segments);
-}
-
-Tick SimTask::segment_wcet() const {
-  return rt::segment_wcet(wcet, segments, checkpoint_overhead);
-}
 
 std::vector<SimTask> build_sim_tasks(const core::FtTaskSet& ts,
                                      const core::PerTaskProfile& n,

@@ -7,29 +7,6 @@
 
 namespace ftmc::sim {
 
-std::string_view to_string(TraceKind kind) {
-  switch (kind) {
-    case TraceKind::kRelease: return "release";
-    case TraceKind::kStart: return "start";
-    case TraceKind::kPreempt: return "preempt";
-    case TraceKind::kAttemptFail: return "attempt-fail";
-    case TraceKind::kComplete: return "complete";
-    case TraceKind::kJobFail: return "job-fail";
-    case TraceKind::kDeadlineMiss: return "deadline-miss";
-    case TraceKind::kModeSwitch: return "mode-switch";
-    case TraceKind::kModeReset: return "mode-reset";
-    case TraceKind::kKill: return "kill";
-  }
-  return "?";
-}
-
-std::ostream& operator<<(std::ostream& os, const TraceEvent& ev) {
-  os << "[" << ev.time << "] " << to_string(ev.kind) << " task=" << ev.task
-     << " job=" << ev.job;
-  if (ev.detail != 0) os << " attempt=" << ev.detail;
-  return os;
-}
-
 std::string csv_escape(std::string_view field) {
   if (field.find_first_of(",\"\n\r") == std::string_view::npos) {
     return std::string(field);

@@ -67,9 +67,11 @@ TEST(ThreadPool, HardwareThreadsIsPositive) {
 TEST(ThreadPool, RepeatedConstructionAndShutdownIsSafe) {
   // Shutdown-safety stress: many short-lived pools, some never used.
   for (int round = 0; round < 20; ++round) {
+    // Declared before the pool: its destructor drains queued tasks, which
+    // must still find the counter alive.
+    std::atomic<int> n{0};
     ThreadPool pool(3);
     if (round % 2 == 0) {
-      std::atomic<int> n{0};
       for (int i = 0; i < 8; ++i) pool.submit([&n] { n.fetch_add(1); });
     }
   }

@@ -1,13 +1,14 @@
-/// \file protocol_test.cpp
-/// \brief Framing-layer tests: encode/decode round trips, incremental
-///        feeds, malformed and oversized frames.
-#include "ftmc/serve/protocol.hpp"
+/// \file frame_test.cpp
+/// \brief Framing-layer tests of the length-prefixed codec every framed
+///        protocol (serve, fleet) shares: encode/decode round trips,
+///        incremental feeds, malformed and oversized frames.
+#include "ftmc/net/frame.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-namespace ftmc::serve {
+namespace ftmc::net {
 namespace {
 
 TEST(Protocol, EncodePrefixesBigEndianLength) {
@@ -115,4 +116,4 @@ TEST(Protocol, PayloadMayContainArbitraryBytes) {
 }
 
 }  // namespace
-}  // namespace ftmc::serve
+}  // namespace ftmc::net

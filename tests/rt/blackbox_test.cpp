@@ -24,12 +24,11 @@ namespace fms = ftmc::fms;
 
 namespace {
 
-std::vector<rt::PosixTask> fms_posix_tasks(double fault_prob) {
-  std::vector<rt::PosixTask> tasks = check::posix_tasks_from_sim(
-      sim::build_sim_tasks(fms::canonical_fms_instance(), /*n_hi=*/3,
-                           /*n_lo=*/2, /*n_adapt=*/2,
-                           /*virtual_deadline_factor=*/0.7));
-  for (rt::PosixTask& t : tasks) t.failure_prob = fault_prob;
+std::vector<rt::Task> fms_tasks(double fault_prob) {
+  std::vector<rt::Task> tasks = sim::build_sim_tasks(
+      fms::canonical_fms_instance(), /*n_hi=*/3, /*n_lo=*/2, /*n_adapt=*/2,
+      /*virtual_deadline_factor=*/0.7);
+  for (rt::Task& t : tasks) t.failure_prob = fault_prob;
   return tasks;
 }
 
@@ -43,7 +42,7 @@ rt::PosixHostConfig fms_config(std::size_t ring_capacity) {
   cfg.horizon = 2'000'000;  // 2 simulated seconds
   cfg.time_scale = 0.0;     // free-run
   cfg.seed = 42;
-  cfg.fault_model = rt::PosixFaultModel::kBernoulli;
+  cfg.fault_model = rt::FaultModel::kBernoulli;
   cfg.trace_capacity = 200'000;
   return cfg;
 }
@@ -139,7 +138,7 @@ TEST(RtBlackBox, SimulatorRecorderAlignsWithItsOwnTrace) {
 TEST(RtBlackBox, WrappedPosixDumpParsesBackAndReplays) {
   // Ring far smaller than the event count: only the newest tail
   // survives, which is exactly what a post-mortem has to align.
-  const std::vector<rt::PosixTask> tasks = fms_posix_tasks(0.05);
+  const std::vector<rt::Task> tasks = fms_tasks(0.05);
   const rt::PosixHostConfig cfg = fms_config(/*ring_capacity=*/64);
   rt::PosixHost host(tasks, cfg);
   const rt::PosixResult result = host.run();
@@ -163,7 +162,7 @@ TEST(RtBlackBox, WrappedPosixDumpParsesBackAndReplays) {
 }
 
 TEST(RtBlackBox, ReplayDetectsAMutatedRecord) {
-  const std::vector<rt::PosixTask> tasks = fms_posix_tasks(0.05);
+  const std::vector<rt::Task> tasks = fms_tasks(0.05);
   const rt::PosixHostConfig cfg = fms_config(/*ring_capacity=*/4096);
   rt::PosixHost host(tasks, cfg);
   const rt::PosixResult result = host.run();
@@ -184,7 +183,7 @@ TEST(RtBlackBox, TruncatedRunReplaysAsAPrefix) {
   // A SIGINT-style stop produces a prefix of the full schedule; the dump
   // of the truncated run must still replay clean against the simulator
   // (which runs the configured horizon, i.e. a superset of the events).
-  const std::vector<rt::PosixTask> tasks = fms_posix_tasks(0.05);
+  const std::vector<rt::Task> tasks = fms_tasks(0.05);
   const rt::PosixHostConfig cfg = fms_config(/*ring_capacity=*/1 << 16);
   rt::PosixHost host(tasks, cfg);
   host.request_stop();  // stop before the first scheduling quantum
@@ -200,7 +199,7 @@ TEST(RtBlackBox, TruncatedRunReplaysAsAPrefix) {
 }
 
 TEST(RtBlackBox, ParserRejectsCorruptedDumps) {
-  const std::vector<rt::PosixTask> tasks = fms_posix_tasks(0.02);
+  const std::vector<rt::Task> tasks = fms_tasks(0.02);
   const rt::PosixHostConfig cfg = fms_config(/*ring_capacity=*/256);
   rt::PosixHost host(tasks, cfg);
   const rt::PosixResult result = host.run();
@@ -232,7 +231,7 @@ TEST(RtBlackBox, ParserRejectsCorruptedDumps) {
 }
 
 TEST(RtBlackBox, CsvDumpHasOneLinePerRecord) {
-  const std::vector<rt::PosixTask> tasks = fms_posix_tasks(0.02);
+  const std::vector<rt::Task> tasks = fms_tasks(0.02);
   const rt::PosixHostConfig cfg = fms_config(/*ring_capacity=*/128);
   rt::PosixHost host(tasks, cfg);
   const rt::PosixResult result = host.run();

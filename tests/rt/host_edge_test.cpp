@@ -1,8 +1,9 @@
-// Mode-switch edge cases, asserted identically against BOTH hosts of the
-// ftmc::rt core (the POSIX host and the discrete-event simulator):
+// Host edge cases, the first three asserted identically against BOTH hosts
+// of the ftmc::rt core (the POSIX host and the discrete-event simulator):
 //   1. a LO job mid-execution at the switch instant (killed in flight);
 //   2. a fault landing exactly at a virtual-deadline instant;
-//   3. back-to-back faults exhausting the re-execution budget.
+//   3. back-to-back faults exhausting the re-execution budget;
+//   4. a task rejected by admission control refuses the run.
 // Each scenario runs on the POSIX host (free-run), is structurally
 // checked, then the identical structural predicate is applied to the
 // simulator's trace of the same configuration, and finally the two traces
@@ -10,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "ftmc/check/replay.hpp"
+#include "ftmc/common/contracts.hpp"
 #include "ftmc/rt/posix_host.hpp"
 #include "ftmc/sim/engine.hpp"
 
@@ -41,15 +44,6 @@ std::vector<Ev> normalize(const std::vector<rt::Event>& trace) {
   return out;
 }
 
-std::vector<Ev> normalize(const std::vector<sim::TraceEvent>& trace) {
-  std::vector<Ev> out;
-  out.reserve(trace.size());
-  for (const sim::TraceEvent& e : trace) {
-    out.push_back({e.time, static_cast<int>(e.kind), e.task, e.job});
-  }
-  return out;
-}
-
 constexpr int kStart = static_cast<int>(rt::EventKind::kStart);
 constexpr int kAttemptFail = static_cast<int>(rt::EventKind::kAttemptFail);
 constexpr int kJobFail = static_cast<int>(rt::EventKind::kJobFail);
@@ -57,60 +51,35 @@ constexpr int kComplete = static_cast<int>(rt::EventKind::kComplete);
 constexpr int kModeSwitch = static_cast<int>(rt::EventKind::kModeSwitch);
 constexpr int kKill = static_cast<int>(rt::EventKind::kKill);
 
-rt::PosixTask make_task(std::string name, Tick period, Tick deadline,
-                        Tick wcet, Tick vd, CritLevel crit, int max_attempts,
-                        int adapt_threshold) {
-  rt::PosixTask t;
+rt::Task make_task(std::string name, Tick period, Tick deadline, Tick wcet,
+                   Tick vd, CritLevel crit, int max_attempts,
+                   int adapt_threshold) {
+  rt::Task t;
   t.name = std::move(name);
-  t.params.period = period;
-  t.params.deadline = deadline;
-  t.params.wcet = wcet;
-  t.params.virtual_deadline = vd;
-  t.params.crit = crit;
-  t.params.max_attempts = max_attempts;
-  t.params.adapt_threshold = adapt_threshold;
+  t.period = period;
+  t.deadline = deadline;
+  t.wcet = wcet;
+  t.virtual_deadline = vd;
+  t.crit = crit;
+  t.max_attempts = max_attempts;
+  t.adapt_threshold = adapt_threshold;
   return t;
 }
 
-// The simulator run equivalent to a PosixHost configuration (the same
-// mapping replay_through_sim applies).
-std::vector<Ev> sim_trace_of(const std::vector<rt::PosixTask>& tasks,
+// The same run configured through the simulator's own config, so the
+// SimConfig mapping is checked against the POSIX host's too.
+std::vector<Ev> sim_trace_of(const std::vector<rt::Task>& tasks,
                              const rt::PosixHostConfig& cfg) {
-  std::vector<sim::SimTask> sim_tasks;
-  for (const rt::PosixTask& p : tasks) {
-    sim::SimTask t;
-    t.name = p.name;
-    t.period = p.params.period;
-    t.deadline = p.params.deadline;
-    t.wcet = p.params.wcet;
-    t.crit = p.params.crit;
-    t.max_attempts = p.params.max_attempts;
-    t.adapt_threshold = p.params.adapt_threshold;
-    t.failure_prob = cfg.fault_model == rt::PosixFaultModel::kNone
-                         ? 0.0
-                         : p.failure_prob;
-    t.virtual_deadline = p.params.virtual_deadline;
-    t.segments = p.params.segments;
-    t.checkpoint_overhead = p.checkpoint_overhead;
-    sim_tasks.push_back(std::move(t));
-  }
   sim::SimConfig sc;
-  sc.policy = sim::PolicyKind::kEdfVd;
-  sc.adaptation = cfg.core.adaptation == rt::Adaptation::kKilling
-                      ? ftmc::mcs::AdaptationKind::kKilling
-                  : cfg.core.adaptation == rt::Adaptation::kDegradation
-                      ? ftmc::mcs::AdaptationKind::kDegradation
-                      : ftmc::mcs::AdaptationKind::kNone;
+  sc.policy = cfg.core.policy;
+  sc.adaptation = cfg.core.adaptation;
   sc.degradation_factor = cfg.core.degradation_factor;
   sc.horizon = cfg.horizon;
   sc.seed = cfg.seed;
-  sc.exec_model = sim::ExecTimeModel::kAlwaysWcet;
-  sc.fault_adversary = cfg.fault_model == rt::PosixFaultModel::kExhaustBudget
-                           ? sim::FaultAdversary::kExhaustBudget
-                           : sim::FaultAdversary::kBernoulli;
+  sc.fault_adversary = cfg.fault_model;
   sc.mode_reset_on_idle = cfg.core.mode_reset_on_idle;
   sc.trace_capacity = cfg.trace_capacity;
-  sim::Simulator simulator(std::move(sim_tasks), sc);
+  sim::Simulator simulator(tasks, sc);
   (void)simulator.run();
   return normalize(simulator.trace());
 }
@@ -122,7 +91,7 @@ struct BothTraces {
   std::vector<Ev> des;
 };
 
-BothTraces run_both(const std::vector<rt::PosixTask>& tasks,
+BothTraces run_both(const std::vector<rt::Task>& tasks,
                     rt::PosixHostConfig cfg) {
   cfg.time_scale = 0.0;  // free-run: edge semantics, not pacing
   rt::PosixHost host(tasks, cfg);
@@ -153,7 +122,7 @@ bool has_event_before(const std::vector<Ev>& trace, std::size_t end, int kind,
 //    (The same scenario also produces the not-yet-started flavor: the LO
 //    job killed by the first switch before ever running.)
 TEST(RtHostEdge, LoJobKilledMidExecutionAtSwitchInstant) {
-  std::vector<rt::PosixTask> tasks = {
+  std::vector<rt::Task> tasks = {
       make_task("hi", 20'000, 20'000, 2'000, 6'000, CritLevel::HI,
                 /*max_attempts=*/2, /*adapt_threshold=*/1),
       make_task("lo", 24'000, 24'000, 18'000, 24'000, CritLevel::LO,
@@ -163,7 +132,7 @@ TEST(RtHostEdge, LoJobKilledMidExecutionAtSwitchInstant) {
   cfg.core.adaptation = rt::Adaptation::kKilling;
   cfg.core.mode_reset_on_idle = true;  // re-admit LO between switches
   cfg.horizon = 60'000;
-  cfg.fault_model = rt::PosixFaultModel::kExhaustBudget;
+  cfg.fault_model = rt::FaultModel::kExhaustBudget;
   const BothTraces both = run_both(tasks, cfg);
 
   const auto check_trace = [](const std::vector<Ev>& trace,
@@ -204,7 +173,7 @@ TEST(RtHostEdge, LoJobKilledMidExecutionAtSwitchInstant) {
 TEST(RtHostEdge, FaultExactlyAtVirtualDeadline) {
   // WCET == VD, adversarial fault on the first attempt: the segment ends
   // (and faults) precisely when the job's virtual deadline expires.
-  std::vector<rt::PosixTask> tasks = {
+  std::vector<rt::Task> tasks = {
       make_task("hi", 10'000, 10'000, 2'000, 2'000, CritLevel::HI,
                 /*max_attempts=*/2, /*adapt_threshold=*/1),
       make_task("lo", 10'000, 10'000, 1'000, 10'000, CritLevel::LO,
@@ -213,10 +182,10 @@ TEST(RtHostEdge, FaultExactlyAtVirtualDeadline) {
   rt::PosixHostConfig cfg;
   cfg.core.adaptation = rt::Adaptation::kKilling;
   cfg.horizon = 30'000;
-  cfg.fault_model = rt::PosixFaultModel::kExhaustBudget;
+  cfg.fault_model = rt::FaultModel::kExhaustBudget;
   const BothTraces both = run_both(tasks, cfg);
 
-  const Tick vd = tasks[0].params.virtual_deadline;
+  const Tick vd = tasks[0].virtual_deadline;
   const auto check_trace = [vd](const std::vector<Ev>& trace,
                                 const char* which) {
     // Find the first attempt-fail of the HI task; it must land exactly at
@@ -242,7 +211,7 @@ TEST(RtHostEdge, FaultExactlyAtVirtualDeadline) {
 //    every attempt faults emits exactly max_attempts kAttemptFail events
 //    spaced one segment WCET apart, then kJobFail — and never completes.
 TEST(RtHostEdge, BackToBackFaultsExhaustBudget) {
-  std::vector<rt::PosixTask> tasks = {
+  std::vector<rt::Task> tasks = {
       make_task("hi", 5'000, 5'000, 500, 5'000, CritLevel::HI,
                 /*max_attempts=*/3, /*adapt_threshold=*/99),
   };
@@ -251,10 +220,10 @@ TEST(RtHostEdge, BackToBackFaultsExhaustBudget) {
   cfg.core.adaptation = rt::Adaptation::kNone;
   cfg.horizon = 100'000;
   cfg.seed = 7;
-  cfg.fault_model = rt::PosixFaultModel::kBernoulli;
+  cfg.fault_model = rt::FaultModel::kBernoulli;
   const BothTraces both = run_both(tasks, cfg);
 
-  const Tick wcet = tasks[0].params.wcet;
+  const Tick wcet = tasks[0].wcet;
   const auto check_trace = [wcet](const std::vector<Ev>& trace,
                                   const char* which) {
     std::size_t exhausted = 0;
@@ -285,4 +254,32 @@ TEST(RtHostEdge, BackToBackFaultsExhaustBudget) {
   };
   check_trace(both.posix, "posix");
   check_trace(both.des, "sim");
+}
+
+// 4. Admission control: a task the core rejects would leave the host's
+//    task table longer than the core's, so the run is refused at
+//    construction with an error naming the task and the core's reason.
+TEST(RtHostEdge, AdmissionRejectionRefusesTheRunNamingTheTask) {
+  const std::vector<rt::Task> tasks = {
+      make_task("first", 10'000, 10'000, 9'000, 10'000, CritLevel::LO,
+                /*max_attempts=*/1, /*adapt_threshold=*/1),  // density 0.9
+      make_task("second", 10'000, 10'000, 5'000, 10'000, CritLevel::LO,
+                /*max_attempts=*/1, /*adapt_threshold=*/1),  // density 0.5
+  };
+  rt::PosixHostConfig cfg;
+  cfg.core.admission_control = true;
+  cfg.horizon = 100'000;
+  try {
+    rt::PosixHost host(tasks, cfg);
+    FAIL() << "a run with a rejected task was constructed";
+  } catch (const ftmc::ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("task 'second'"), std::string::npos) << what;
+    EXPECT_NE(what.find("LO-mode density would exceed 1"), std::string::npos)
+        << what;
+  }
+
+  // Without the second task the same configuration runs.
+  rt::PosixHost ok({tasks[0]}, cfg);
+  EXPECT_EQ(ok.run().stats.per_task.size(), 1u);
 }

@@ -1,5 +1,5 @@
 // Tests of the differential trace-replay machinery (check/replay.hpp):
-// the sim-task round trip, replay identity on the FMS case study, the
+// replay identity on the FMS case study, the
 // diff's ability to actually detect divergences, and the registered
 // trace-replay properties on a concrete case.
 #include "ftmc/check/replay.hpp"
@@ -16,12 +16,11 @@ namespace fms = ftmc::fms;
 
 namespace {
 
-std::vector<rt::PosixTask> fms_posix_tasks(double fault_prob) {
-  std::vector<rt::PosixTask> tasks = check::posix_tasks_from_sim(
-      sim::build_sim_tasks(fms::canonical_fms_instance(), /*n_hi=*/3,
-                           /*n_lo=*/2, /*n_adapt=*/2,
-                           /*virtual_deadline_factor=*/0.7));
-  for (rt::PosixTask& t : tasks) t.failure_prob = fault_prob;
+std::vector<rt::Task> fms_tasks(double fault_prob) {
+  std::vector<rt::Task> tasks = sim::build_sim_tasks(
+      fms::canonical_fms_instance(), /*n_hi=*/3, /*n_lo=*/2, /*n_adapt=*/2,
+      /*virtual_deadline_factor=*/0.7);
+  for (rt::Task& t : tasks) t.failure_prob = fault_prob;
   return tasks;
 }
 
@@ -34,47 +33,24 @@ rt::PosixHostConfig fms_config() {
   cfg.horizon = 2'000'000;  // 2 simulated seconds
   cfg.time_scale = 0.0;     // free-run
   cfg.seed = 42;
-  cfg.fault_model = rt::PosixFaultModel::kBernoulli;
+  cfg.fault_model = rt::FaultModel::kBernoulli;
   cfg.trace_capacity = 200'000;
   return cfg;
 }
 
 }  // namespace
 
-TEST(RtReplay, SimTaskRoundTripPreservesAllFields) {
-  const std::vector<sim::SimTask> sim_tasks = sim::build_sim_tasks(
-      fms::canonical_fms_instance(), 3, 2, 2, 0.7);
-  const std::vector<rt::PosixTask> posix = check::posix_tasks_from_sim(sim_tasks);
-  ASSERT_EQ(posix.size(), sim_tasks.size());
-  for (std::size_t i = 0; i < posix.size(); ++i) {
-    const sim::SimTask& s = sim_tasks[i];
-    const rt::PosixTask& p = posix[i];
-    EXPECT_EQ(p.name, s.name);
-    EXPECT_EQ(p.params.period, s.period);
-    EXPECT_EQ(p.params.deadline, s.deadline);
-    EXPECT_EQ(p.params.wcet, s.wcet);
-    EXPECT_EQ(p.params.virtual_deadline, s.virtual_deadline);
-    EXPECT_EQ(p.params.crit, s.crit);
-    EXPECT_EQ(p.params.max_attempts, s.max_attempts);
-    EXPECT_EQ(p.params.adapt_threshold, s.adapt_threshold);
-    EXPECT_EQ(p.params.priority, s.priority);
-    EXPECT_EQ(p.params.segments, s.segments);
-    EXPECT_DOUBLE_EQ(p.failure_prob, s.failure_prob);
-    EXPECT_DOUBLE_EQ(p.checkpoint_overhead, s.checkpoint_overhead);
-  }
-}
-
 TEST(RtReplay, FmsRunReplaysIdentically) {
   // n' = 2 for the FMS instance, so the switch needs two faults within
   // one job: inflate the per-attempt fault probability accordingly.
-  const std::vector<rt::PosixTask> tasks = fms_posix_tasks(0.35);
+  const std::vector<rt::Task> tasks = fms_tasks(0.35);
   const rt::PosixHostConfig cfg = fms_config();
   rt::PosixHost host(tasks, cfg);
   const rt::PosixResult result = host.run();
   // The run must actually exercise the interesting machinery for the
   // identity claim to mean anything.
   ASSERT_GT(result.trace.size(), 100u);
-  EXPECT_GT(result.counters.mode_switches, 0u);
+  EXPECT_GT(result.stats.mode_switches, 0u);
 
   const check::ReplayDiff diff =
       check::replay_through_sim(tasks, cfg, result.trace);
@@ -85,7 +61,7 @@ TEST(RtReplay, FmsRunReplaysIdentically) {
 }
 
 TEST(RtReplay, DetectsASingleMutatedEvent) {
-  const std::vector<rt::PosixTask> tasks = fms_posix_tasks(0.05);
+  const std::vector<rt::Task> tasks = fms_tasks(0.05);
   const rt::PosixHostConfig cfg = fms_config();
   rt::PosixHost host(tasks, cfg);
   rt::PosixResult result = host.run();
@@ -101,7 +77,7 @@ TEST(RtReplay, DetectsASingleMutatedEvent) {
 }
 
 TEST(RtReplay, DetectsATruncatedTrace) {
-  const std::vector<rt::PosixTask> tasks = fms_posix_tasks(0.05);
+  const std::vector<rt::Task> tasks = fms_tasks(0.05);
   const rt::PosixHostConfig cfg = fms_config();
   rt::PosixHost host(tasks, cfg);
   rt::PosixResult result = host.run();

@@ -13,11 +13,13 @@
 #include <vector>
 
 #include "ftmc/io/json.hpp"
-#include "ftmc/serve/client.hpp"
+#include "ftmc/net/socket.hpp"
 #include "ftmc/serve/server.hpp"
 
 namespace ftmc::serve {
 namespace {
+
+using net::FramedClient;
 
 class TcpTest : public ::testing::Test {
  protected:
@@ -34,8 +36,8 @@ class TcpTest : public ::testing::Test {
     accept_thread_.join();
   }
 
-  [[nodiscard]] Client connect() {
-    return Client("127.0.0.1", listener_->port());
+  [[nodiscard]] FramedClient connect() {
+    return FramedClient("127.0.0.1", listener_->port());
   }
 
   std::unique_ptr<Server> engine_;
@@ -44,13 +46,13 @@ class TcpTest : public ::testing::Test {
 };
 
 TEST_F(TcpTest, PingRoundTrip) {
-  Client client = connect();
+  FramedClient client = connect();
   EXPECT_EQ(client.call("{\"type\":\"ping\",\"trace_id\":\"t\"}"),
             "{\"type\":\"pong\",\"trace_id\":\"t\"}");
 }
 
 TEST_F(TcpTest, MultipleRequestsOnOneConnection) {
-  Client client = connect();
+  FramedClient client = connect();
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(client.call("{\"type\":\"ping\",\"trace_id\":\"t\"}"),
               "{\"type\":\"pong\",\"trace_id\":\"t\"}");
@@ -65,7 +67,7 @@ TEST_F(TcpTest, ConcurrentClientsAllGetAnswers) {
   threads.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([this, c, &ok] {
-      Client client = connect();
+      FramedClient client = connect();
       for (int i = 0; i < kCallsEach; ++i) {
         if (client.call("{\"type\":\"ping\",\"trace_id\":\"t\"}") ==
             "{\"type\":\"pong\",\"trace_id\":\"t\"}") {
@@ -79,7 +81,7 @@ TEST_F(TcpTest, ConcurrentClientsAllGetAnswers) {
 }
 
 TEST_F(TcpTest, MalformedBodyKeepsConnectionAlive) {
-  Client client = connect();
+  FramedClient client = connect();
   const auto doc = io::json::parse(client.call("this is not json"));
   EXPECT_EQ(doc.at("type").as_string(), "error");
   // Body-level errors are per-request; the connection stays usable.
@@ -88,7 +90,7 @@ TEST_F(TcpTest, MalformedBodyKeepsConnectionAlive) {
 }
 
 TEST_F(TcpTest, OversizedFrameAnswersErrorAndCloses) {
-  Client client = connect();
+  FramedClient client = connect();
   // Length claim above the server's 64 KiB cap, no body.
   std::string header;
   header += '\x00';
@@ -113,12 +115,12 @@ TEST_F(TcpTest, AnalyzeOverTcpMatchesInProcessEngine) {
   ServerOptions options;
   options.max_frame_bytes = 1u << 16;
   Server local(options);
-  Client client = connect();
+  FramedClient client = connect();
   EXPECT_EQ(client.call(request), local.handle(request));
 }
 
 TEST_F(TcpTest, ShutdownRequestStopsTheListener) {
-  Client client = connect();
+  FramedClient client = connect();
   EXPECT_EQ(client.call("{\"type\":\"shutdown\",\"trace_id\":\"t\"}"),
             "{\"type\":\"bye\",\"trace_id\":\"t\"}");
   // serve() must return on its own now; TearDown's stop() is then a
@@ -147,7 +149,7 @@ TEST(TcpServer, TruncatedStreamIsCountedNotFatal) {
   TcpServer listener(engine, TcpOptions{});
   std::thread accept_thread([&] { listener.serve(); });
   {
-    Client client("127.0.0.1", listener.port());
+    FramedClient client("127.0.0.1", listener.port());
     std::string partial;
     partial += '\x00';
     partial += '\x00';
@@ -157,7 +159,7 @@ TEST(TcpServer, TruncatedStreamIsCountedNotFatal) {
     client.send_raw(partial);
   }  // destructor closes the socket mid-frame
   // The server must survive the truncated stream and keep serving.
-  Client client("127.0.0.1", listener.port());
+  FramedClient client("127.0.0.1", listener.port());
   EXPECT_EQ(client.call("{\"type\":\"ping\",\"trace_id\":\"t\"}"),
             "{\"type\":\"pong\",\"trace_id\":\"t\"}");
   listener.stop();
