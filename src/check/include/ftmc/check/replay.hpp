@@ -44,9 +44,13 @@ struct ReplayDiff {
 
 /// Replays a PosixHost configuration through the simulator
 /// (replay_sim_trace) and compares the two event streams event by event.
+/// A run that went to its horizon must match the simulator's stream in
+/// length too. A run that was stopped (`stopped`, from
+/// PosixResult::stopped) may have ended early, so its trace need only be
+/// a prefix of the simulator's.
 [[nodiscard]] ReplayDiff replay_through_sim(
     const std::vector<rt::Task>& tasks, const rt::PosixHostConfig& config,
-    const std::vector<rt::Event>& posix_trace);
+    const std::vector<rt::Event>& posix_trace, bool stopped = false);
 
 /// "t=T kind task=I job=J detail=D": how replay messages name an event.
 [[nodiscard]] std::string describe(const rt::Event& event);

@@ -24,7 +24,8 @@ std::vector<rt::Event> replay_sim_trace(const std::vector<rt::Task>& tasks,
 
 ReplayDiff replay_through_sim(const std::vector<rt::Task>& tasks,
                               const rt::PosixHostConfig& config,
-                              const std::vector<rt::Event>& posix_trace) {
+                              const std::vector<rt::Event>& posix_trace,
+                              bool stopped) {
   const std::vector<rt::Event> sim_trace = replay_sim_trace(tasks, config);
 
   ReplayDiff diff;
@@ -40,7 +41,8 @@ ReplayDiff replay_through_sim(const std::vector<rt::Task>& tasks,
                    describe(a) + "} vs sim {" + describe(b) + "}";
     return diff;
   }
-  if (posix_trace.size() != sim_trace.size()) {
+  const bool is_prefix = stopped && posix_trace.size() < sim_trace.size();
+  if (posix_trace.size() != sim_trace.size() && !is_prefix) {
     diff.first_divergence = n;
     diff.message = "trace lengths diverge: posix " +
                    std::to_string(posix_trace.size()) + " events vs sim " +

@@ -50,14 +50,14 @@ double checkpointed_job_failure_prob(double failure_prob,
   const int trials = k + r;
   const double log_q = std::log(q);
   const double log_1mq = std::log1p(-q);
-  const double lg_trials = std::lgamma(trials + 1.0);
+  const double lg_trials = prob::log_gamma(trials + 1.0);
 
   double max_log = -std::numeric_limits<double>::infinity();
   std::vector<double> logs;
   logs.reserve(static_cast<std::size_t>(k));
   for (int j = r + 1; j <= trials; ++j) {
-    const double log_term = lg_trials - std::lgamma(j + 1.0) -
-                            std::lgamma(trials - j + 1.0) + j * log_q +
+    const double log_term = lg_trials - prob::log_gamma(j + 1.0) -
+                            prob::log_gamma(trials - j + 1.0) + j * log_q +
                             (trials - j) * log_1mq;
     logs.push_back(log_term);
     max_log = std::max(max_log, log_term);

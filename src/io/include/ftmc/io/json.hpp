@@ -20,10 +20,16 @@
 
 namespace ftmc::io::json {
 
-/// JSON string escaping (quotes, backslashes, control characters).
+/// JSON string escaping (quotes, backslashes, control characters):
+/// json_text::append_escaped into a fresh string.
 [[nodiscard]] std::string escape(std::string_view text);
 
-/// Renders a double as a JSON number.
+/// Renders a double as a JSON number (json_text::append_number).
+///
+/// Bytes: std::to_chars(chars_format::general, 17), which writes what
+/// printf("%.17g") writes in the "C" locale. It reads no locale, so a
+/// host locale with a decimal comma or digit grouping cannot change
+/// the output (a stream would follow std::locale::global).
 ///
 /// Round-trip contract (relied on by campaign result files): every
 /// double maps to a JSON value that `parse` + `Value::as_number` map
@@ -35,8 +41,9 @@ namespace ftmc::io::json {
 ///  - NaN maps to null; as_number maps null back to a quiet NaN.
 [[nodiscard]] std::string number(double value);
 
-/// Tiny order-preserving object builder. Values passed to add_raw must
-/// already be valid JSON.
+/// Tiny order-preserving object builder. Each add_* call appends its
+/// field, escaped or rendered in place, to one buffer; str() returns the
+/// buffer closed. Values passed to add_raw must already be valid JSON.
 class Object {
  public:
   Object& add_string(std::string_view key, std::string_view value);
@@ -48,7 +55,10 @@ class Object {
   [[nodiscard]] std::string str() const;
 
  private:
-  std::vector<std::pair<std::string, std::string>> fields_;
+  /// Appends the separator and `"key":`; the caller appends the value.
+  void add_key(std::string_view key);
+
+  std::string out_ = "{";
 };
 
 /// Joins already-rendered JSON values into an array.

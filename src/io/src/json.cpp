@@ -1,87 +1,68 @@
 #include "ftmc/io/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <sstream>
+
+#include "ftmc/common/json_text.hpp"
 
 namespace ftmc::io::json {
 
 std::string escape(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  json_text::append_escaped(out, text);
   return out;
 }
 
 std::string number(double value) {
-  if (std::isnan(value)) return "null";
-  if (std::isinf(value)) return value > 0 ? "\"inf\"" : "\"-inf\"";
-  std::ostringstream os;
-  os.precision(17);
-  os << value;
-  return os.str();
+  std::string out;
+  json_text::append_number(out, value);
+  return out;
+}
+
+void Object::add_key(std::string_view key) {
+  if (out_.size() > 1) out_ += ',';
+  json_text::append_quoted(out_, key);
+  out_ += ':';
 }
 
 Object& Object::add_string(std::string_view key, std::string_view value) {
-  std::string quoted;
-  quoted += '"';
-  quoted += escape(value);
-  quoted += '"';
-  fields_.emplace_back(std::string(key), std::move(quoted));
+  add_key(key);
+  json_text::append_quoted(out_, value);
   return *this;
 }
 
 Object& Object::add_number(std::string_view key, double value) {
-  fields_.emplace_back(std::string(key), number(value));
+  add_key(key);
+  json_text::append_number(out_, value);
   return *this;
 }
 
 Object& Object::add_int(std::string_view key, long long value) {
-  fields_.emplace_back(std::string(key), std::to_string(value));
+  add_key(key);
+  json_text::append_int(out_, value);
   return *this;
 }
 
 Object& Object::add_bool(std::string_view key, bool value) {
-  fields_.emplace_back(std::string(key), value ? "true" : "false");
+  add_key(key);
+  out_ += value ? "true" : "false";
   return *this;
 }
 
 Object& Object::add_raw(std::string_view key, std::string_view json) {
-  fields_.emplace_back(std::string(key), std::string(json));
+  add_key(key);
+  out_ += json;
   return *this;
 }
 
 std::string Object::str() const {
-  std::string out = "{";
-  for (std::size_t i = 0; i < fields_.size(); ++i) {
-    out += '"';
-    out += escape(fields_[i].first);
-    out += "\":";
-    out += fields_[i].second;
-    if (i + 1 < fields_.size()) out += ",";
-  }
-  out += "}";
+  std::string out;
+  out.reserve(out_.size() + 1);
+  out += out_;
+  out += '}';
   return out;
 }
 
@@ -436,7 +417,7 @@ class Parser {
       pos_ = start;
       fail("expected a value");
     }
-    const std::string token(text_.substr(start, pos_ - start));
+    const std::string_view token = text_.substr(start, pos_ - start);
     // std::from_chars, not strtod: strtod obeys LC_NUMERIC, so a host
     // locale with a decimal comma would misparse "1.5" as 1 (and then
     // reject the token on the leftover ".5").
@@ -445,11 +426,11 @@ class Parser {
         std::from_chars(token.data(), token.data() + token.size(), value);
     if (ec == std::errc::result_out_of_range) {
       pos_ = start;
-      fail("number out of range \"" + token + "\"");
+      fail("number out of range \"" + std::string(token) + "\"");
     }
     if (ec != std::errc{} || end != token.data() + token.size()) {
       pos_ = start;
-      fail("malformed number \"" + token + "\"");
+      fail("malformed number \"" + std::string(token) + "\"");
     }
     Value v;
     v.kind_ = Value::Kind::kNumber;

@@ -17,9 +17,6 @@
 
 namespace ftmc::obs::chrome {
 
-/// JSON string escaping (quotes, backslashes, control characters).
-[[nodiscard]] std::string escape(std::string_view text);
-
 /// Duration-begin event ("ph":"B"). `ts_us` is microseconds from the
 /// trace epoch; `args_json`, when non-empty, must be a JSON object.
 [[nodiscard]] std::string duration_begin(std::string_view name, int pid,

@@ -1,9 +1,10 @@
 #include "ftmc/obs/chrome_trace.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
+
+#include "ftmc/common/json_text.hpp"
 
 namespace ftmc::obs::chrome {
 namespace {
@@ -17,6 +18,12 @@ std::string ts_field(double ts_us) {
   return out.str();
 }
 
+std::string quoted(std::string_view text) {
+  std::string out;
+  json_text::append_quoted(out, text);
+  return out;
+}
+
 void append_args(std::string& out, std::string_view args_json) {
   if (!args_json.empty()) {
     out += ",\"args\":";
@@ -26,33 +33,10 @@ void append_args(std::string& out, std::string_view args_json) {
 
 }  // namespace
 
-std::string escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string duration_begin(std::string_view name, int pid, int tid,
                            double ts_us, std::string_view args_json) {
-  std::string out = "{\"name\":\"" + escape(name) +
-                    "\",\"cat\":\"ftmc\",\"ph\":\"B\",\"pid\":" +
+  std::string out = "{\"name\":" + quoted(name) +
+                    ",\"cat\":\"ftmc\",\"ph\":\"B\",\"pid\":" +
                     std::to_string(pid) + ",\"tid\":" + std::to_string(tid) +
                     ",\"ts\":" + ts_field(ts_us);
   append_args(out, args_json);
@@ -68,8 +52,8 @@ std::string duration_end(int pid, int tid, double ts_us) {
 
 std::string instant(std::string_view name, int pid, int tid, double ts_us,
                     std::string_view args_json) {
-  std::string out = "{\"name\":\"" + escape(name) +
-                    "\",\"cat\":\"ftmc\",\"ph\":\"i\",\"s\":\"t\",\"pid\":" +
+  std::string out = "{\"name\":" + quoted(name) +
+                    ",\"cat\":\"ftmc\",\"ph\":\"i\",\"s\":\"t\",\"pid\":" +
                     std::to_string(pid) + ",\"tid\":" + std::to_string(tid) +
                     ",\"ts\":" + ts_field(ts_us);
   append_args(out, args_json);
@@ -80,13 +64,13 @@ std::string instant(std::string_view name, int pid, int tid, double ts_us,
 std::string thread_name(int pid, int tid, std::string_view name) {
   return "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
          std::to_string(pid) + ",\"tid\":" + std::to_string(tid) +
-         ",\"args\":{\"name\":\"" + escape(name) + "\"}}";
+         ",\"args\":{\"name\":" + quoted(name) + "}}";
 }
 
 std::string process_name(int pid, std::string_view name) {
   return "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-         std::to_string(pid) + ",\"tid\":0,\"args\":{\"name\":\"" +
-         escape(name) + "\"}}";
+         std::to_string(pid) + ",\"tid\":0,\"args\":{\"name\":" +
+         quoted(name) + "}}";
 }
 
 std::string trace_document(const std::vector<std::string>& events) {

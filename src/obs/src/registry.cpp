@@ -1,12 +1,10 @@
 #include "ftmc/obs/registry.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 #include "ftmc/common/contracts.hpp"
+#include "ftmc/common/json_text.hpp"
 
 namespace ftmc::obs {
 namespace detail {
@@ -53,42 +51,6 @@ void HistogramCell::observe(double value) noexcept {
   atomic_add_double(shard.sum, value);
 }
 
-namespace {
-
-/// Minimal JSON helpers; obs stays independent of ftmc::io.
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double value) {
-  if (std::isnan(value)) return "null";
-  if (std::isinf(value)) return value > 0 ? "\"inf\"" : "\"-inf\"";
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
-}
-
-}  // namespace
 }  // namespace detail
 
 double HistogramSnapshot::quantile(double q) const {
@@ -113,44 +75,54 @@ double HistogramSnapshot::quantile(double q) const {
 }
 
 std::string Snapshot::to_json() const {
-  using detail::json_escape;
-  using detail::json_number;
-  std::ostringstream out;
-  out << "{\"counters\":{";
+  using json_text::append_int;
+  using json_text::append_number;
+  using json_text::append_quoted;
+  std::string out = "{\"counters\":{";
   for (std::size_t i = 0; i < counters.size(); ++i) {
-    if (i > 0) out << ",";
-    out << "\"" << json_escape(counters[i].first)
-        << "\":" << counters[i].second;
+    if (i > 0) out += ',';
+    append_quoted(out, counters[i].first);
+    out += ':';
+    append_int(out, counters[i].second);
   }
-  out << "},\"gauges\":{";
+  out += "},\"gauges\":{";
   for (std::size_t i = 0; i < gauges.size(); ++i) {
-    if (i > 0) out << ",";
-    out << "\"" << json_escape(gauges[i].first)
-        << "\":" << json_number(gauges[i].second);
+    if (i > 0) out += ',';
+    append_quoted(out, gauges[i].first);
+    out += ':';
+    append_number(out, gauges[i].second);
   }
-  out << "},\"histograms\":{";
+  out += "},\"histograms\":{";
   for (std::size_t i = 0; i < histograms.size(); ++i) {
     const HistogramSnapshot& h = histograms[i];
-    if (i > 0) out << ",";
-    out << "\"" << json_escape(h.name) << "\":{\"count\":" << h.count
-        << ",\"sum\":" << json_number(h.sum)
-        << ",\"mean\":" << json_number(h.mean())
-        << ",\"p50\":" << json_number(h.quantile(0.5))
-        << ",\"p95\":" << json_number(h.quantile(0.95))
-        << ",\"p99\":" << json_number(h.quantile(0.99)) << ",\"bounds\":[";
+    if (i > 0) out += ',';
+    append_quoted(out, h.name);
+    out += ":{\"count\":";
+    append_int(out, h.count);
+    out += ",\"sum\":";
+    append_number(out, h.sum);
+    out += ",\"mean\":";
+    append_number(out, h.mean());
+    out += ",\"p50\":";
+    append_number(out, h.quantile(0.5));
+    out += ",\"p95\":";
+    append_number(out, h.quantile(0.95));
+    out += ",\"p99\":";
+    append_number(out, h.quantile(0.99));
+    out += ",\"bounds\":[";
     for (std::size_t b = 0; b < h.bounds.size(); ++b) {
-      if (b > 0) out << ",";
-      out << json_number(h.bounds[b]);
+      if (b > 0) out += ',';
+      append_number(out, h.bounds[b]);
     }
-    out << "],\"counts\":[";
+    out += "],\"counts\":[";
     for (std::size_t b = 0; b < h.counts.size(); ++b) {
-      if (b > 0) out << ",";
-      out << h.counts[b];
+      if (b > 0) out += ',';
+      append_int(out, h.counts[b]);
     }
-    out << "]}";
+    out += "]}";
   }
-  out << "}}";
-  return out.str();
+  out += "}}";
+  return out;
 }
 
 std::vector<double> exponential_buckets(double start, double factor,

@@ -15,6 +15,15 @@
 
 namespace ftmc::prob {
 
+/// ln |Gamma(x)| through POSIX lgamma_r. std::lgamma stores the sign of
+/// Gamma(x) in the process-global `signgam`, a data race once analyses
+/// run on several threads (exec pools); lgamma_r returns the same value
+/// and writes the sign to a local instead.
+inline double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 /// log(1 - exp(x)) for x < 0, stable for both x -> 0- and x -> -inf.
 /// Uses the Maechler (2012) split at -ln 2.
 inline double log1mexp(double x) {

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "ftmc/common/contracts.hpp"
+#include "ftmc/prob/safe_math.hpp"
 
 namespace ftmc::prob {
 namespace {
@@ -19,7 +20,7 @@ double gamma_p_series(double a, double x) {
     sum += term;
     if (std::abs(term) < std::abs(sum) * 1e-16) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 // Lentz continued fraction for Q(a, x), converges fast for x >= a + 1.
@@ -41,7 +42,7 @@ double gamma_q_cf(double a, double x) {
     h *= delta;
     if (std::abs(delta - 1.0) < 1e-16) break;
   }
-  return h * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return h * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 }  // namespace

@@ -324,8 +324,8 @@ int main(int argc, char** argv) {
   }
 
   if (opt.verify) {
-    const check::ReplayDiff diff =
-        check::replay_through_sim(tasks, cfg, result.trace);
+    const check::ReplayDiff diff = check::replay_through_sim(
+        tasks, cfg, result.trace, result.stopped);
     if (!diff.identical) {
       std::cerr << "REPLAY DIVERGENCE: " << diff.message << "\n";
       return 1;
@@ -343,8 +343,11 @@ int main(int argc, char** argv) {
     }
     if (!opt.quiet) {
       std::cout << "  replay: " << diff.posix_events
-                << " events bit-identical through the simulator host\n"
-                << "  replay: " << dump.records.size()
+                << " events bit-identical through the simulator host";
+      if (result.stopped) {
+        std::cout << " (stopped: a prefix of its " << diff.sim_events << ")";
+      }
+      std::cout << "\n  replay: " << dump.records.size()
                 << " flight-recorder records match the simulator stream\n";
     }
   }

@@ -65,6 +65,10 @@ struct PosixResult {
   std::vector<BlackBoxRecord> blackbox;
   std::uint64_t blackbox_total = 0;
   std::uint64_t blackbox_admissions = 0;
+  /// True when request_stop() was called during the run, which may then
+  /// have ended before its horizon: the trace and the black box are a
+  /// prefix of the full schedule rather than all of it.
+  bool stopped = false;
 };
 
 /// The POSIX host. Construct, run once, inspect the result.

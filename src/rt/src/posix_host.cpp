@@ -101,6 +101,7 @@ PosixResult PosixHost::run() {
   wall_start_ns_ = monotonic_ns();
   WallClock clock{*this};
   result_.stats = Driver::run(clock);
+  result_.stopped = stop_.load(std::memory_order_relaxed);
   result_.wall_seconds =
       static_cast<double>(monotonic_ns() - wall_start_ns_) / 1e9;
   core().black_box().copy_to(result_.blackbox);

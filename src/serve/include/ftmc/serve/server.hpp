@@ -31,6 +31,10 @@
 #include "ftmc/obs/registry.hpp"
 #include "ftmc/obs/span.hpp"
 
+namespace ftmc::io::json {
+class Value;
+}  // namespace ftmc::io::json
+
 namespace ftmc::serve {
 
 /// Knobs of one server instance.
@@ -80,8 +84,8 @@ struct ServeMetrics {
 /// server echoes it (or a synthesized "t-<n>") as the `trace_id` field of
 /// every response, right after "type" — never inside the results array,
 /// which stays a pure function of the request (the determinism
-/// contract). Each request is also covered by RAII spans
-/// (request/parse/analyze/respond) on the server's span recorder,
+/// contract). Each request is parsed once and covered by RAII spans
+/// (request/parse/lookup/analyze/respond) on the server's span recorder,
 /// exportable as a Chrome trace via `ftmc_serve --trace-out`.
 class Server {
  public:
@@ -104,13 +108,13 @@ class Server {
     return options_;
   }
 
-  /// The request-span recorder (request/parse/analyze/respond lanes, one
-  /// per serving thread, plus the exec workers' lanes). Export with
-  /// write_chrome_trace after the transports have drained.
+  /// The request-span recorder (request/parse/lookup/analyze/respond
+  /// lanes, one per serving thread, plus the exec workers' lanes). Export
+  /// with write_chrome_trace after the transports have drained.
   [[nodiscard]] obs::SpanRecorder& spans() noexcept { return spans_; }
 
  private:
-  [[nodiscard]] std::string handle_analyze(std::string_view request_json,
+  [[nodiscard]] std::string handle_analyze(const io::json::Value& request,
                                            const std::string& trace_id);
 
   ServerOptions options_;

@@ -339,14 +339,12 @@ std::string Server::handle(std::string_view request_json) {
     }
     return id;
   };
+  Value doc;
   std::string type;
   std::string trace_id;
   try {
     obs::ScopedSpan span("parse");
-    // The type probe parses the whole document once; analyze re-parses
-    // below. Requests are small relative to the analysis they trigger,
-    // and the double parse keeps this dispatch free of Value plumbing.
-    const Value doc = io::json::parse(request_json);
+    doc = io::json::parse(request_json);
     type = doc.at("type").as_string();
     if (const Value* id = doc.find("trace_id")) trace_id = id->as_string();
   } catch (const std::exception& e) {
@@ -385,13 +383,13 @@ std::string Server::handle(std::string_view request_json) {
         .str();
   }
   if (type == "analyze") {
-    return handle_analyze(request_json, trace_id);
+    return handle_analyze(doc, trace_id);
   }
   metrics_.request_errors.inc();
   return error_response("unknown request type \"" + type + "\"", trace_id);
 }
 
-std::string Server::handle_analyze(std::string_view request_json,
+std::string Server::handle_analyze(const Value& request,
                                    const std::string& trace_id) {
   // Slot i holds query i's result item; filled from the cache or
   // computed into place — order and content never depend on threads.
@@ -404,9 +402,8 @@ std::string Server::handle_analyze(std::string_view request_json,
   std::size_t cache_hits = 0;
   std::vector<std::size_t> pending;
   try {
-    obs::ScopedSpan span("parse");
-    const Value doc = io::json::parse(request_json);
-    const auto& queries = doc.at("queries").items();
+    obs::ScopedSpan span("lookup");
+    const auto& queries = request.at("queries").items();
     slots.resize(queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
       metrics_.queries_total.inc();

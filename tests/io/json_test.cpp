@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <locale>
+#include <random>
+#include <sstream>
 #include <string_view>
 
 namespace ftmc::io {
@@ -31,6 +39,135 @@ TEST(JsonNumber, SpecialValues) {
 TEST(JsonNumber, FullPrecisionRoundTrip) {
   const double v = 2.04e-10;
   EXPECT_DOUBLE_EQ(std::stod(json::number(v)), v);
+}
+
+/// The reference: a precision-17 stream in the classic locale, whose
+/// bytes number() must write for every finite double (campaign journals
+/// and serve cache keys were first written this way).
+std::string classic_stream_number(double value) {
+  std::ostringstream os;
+  os.imbue(std::locale::classic());
+  os.precision(17);
+  os << value;
+  return os.str();
+}
+
+double from_bits(std::uint64_t bits) {
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+TEST(JsonNumber, MatchesClassicStreamOnEdgeValues) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kMin = std::numeric_limits<double>::min();
+  constexpr double kDenormMin = std::numeric_limits<double>::denorm_min();
+  const double edges[] = {0.0,     -0.0,    1.0,       -1.0,    0.1,
+                          0.5,     2.0,     1e21,      -1e21,   1e22,
+                          1e-5,    1e-4,    1e16,      1e17,    123456789.0,
+                          kMax,    -kMax,   kMin,      -kMin,   kDenormMin,
+                          -kDenormMin,      kMin - kDenormMin,  1.0 / 3.0,
+                          9007199254740993.0, 2.04e-10, 14400.0, 3.3e-7};
+  for (const double v : edges) {
+    EXPECT_EQ(json::number(v), classic_stream_number(v)) << v;
+  }
+}
+
+TEST(JsonNumber, MatchesClassicStreamOnRandomBitPatterns) {
+  std::mt19937_64 rng(20260417);
+  std::size_t mismatches = 0;
+  std::size_t checked = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t bits = rng();
+    const double v = from_bits(bits);
+    if (!std::isfinite(v)) continue;
+    ++checked;
+    const std::string got = json::number(v);
+    if (got != classic_stream_number(v) && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits 0x" << std::hex << bits << ": got " << got
+                    << ", stream " << classic_stream_number(v);
+    }
+  }
+  EXPECT_GT(checked, 990'000u);
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonNumber, MatchesClassicStreamOnRoundedAndSmallValues) {
+  // Values like those analyses print: short decimals, utilizations,
+  // probabilities, milliseconds.
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 100'000; ++i) {
+    const double u = unit(rng);
+    const double values[] = {u, u * 1e4, std::round(u * 1e4) / 100.0,
+                             u * 1e-12, -u * 3600.0};
+    for (const double v : values) {
+      ASSERT_EQ(json::number(v), classic_stream_number(v)) << v;
+    }
+  }
+}
+
+/// A decimal-comma, dot-grouping numpunct facet: no installed locale is
+/// needed to build a global locale that formats 1234.5 as "1.234,5".
+struct DecimalComma : std::numpunct<char> {
+  char do_decimal_point() const override { return ','; }
+  char do_thousands_sep() const override { return '.'; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+class GlobalLocaleScope {
+ public:
+  explicit GlobalLocaleScope(const std::locale& loc)
+      : previous_(std::locale::global(loc)) {}
+  ~GlobalLocaleScope() { std::locale::global(previous_); }
+  GlobalLocaleScope(const GlobalLocaleScope&) = delete;
+  GlobalLocaleScope& operator=(const GlobalLocaleScope&) = delete;
+
+ private:
+  std::locale previous_;
+};
+
+TEST(JsonNumber, IgnoresTheGlobalLocale) {
+  const GlobalLocaleScope scope(
+      std::locale(std::locale::classic(), new DecimalComma));
+  std::ostringstream probe;  // a default stream follows the global locale
+  probe << 1234.5;
+  ASSERT_EQ(probe.str(), "1.234,5") << "the facet did not take effect";
+  EXPECT_EQ(json::number(1234.5), "1234.5");
+  EXPECT_EQ(json::number(0.1), "0.10000000000000001");
+  EXPECT_EQ(json::Object{}
+                .add_int("n", 1234567)
+                .add_number("x", 1234.5)
+                .str(),
+            R"({"n":1234567,"x":1234.5})");
+}
+
+TEST(JsonObject, GoldenStrings) {
+  EXPECT_EQ(json::Object{}.str(), "{}");
+  EXPECT_EQ(json::Object{}
+                .add_string(std::string_view("k\"e\\y\n\x01", 7), "v\"al\t")
+                .add_bool("b", false)
+                .str(),
+            R"({"k\"e\\y\n\u0001":"v\"al\t","b":false})");
+  EXPECT_EQ(json::Object{}
+                .add_int("min", LLONG_MIN)
+                .add_int("max", LLONG_MAX)
+                .add_int("zero", 0)
+                .str(),
+            R"({"min":-9223372036854775808,"max":9223372036854775807,)"
+            R"("zero":0})");
+  const std::string inner = json::Object{}
+                                .add_number("x", 0.1)
+                                .add_number("nan", std::nan(""))
+                                .add_number("inf", -HUGE_VAL)
+                                .str();
+  EXPECT_EQ(json::Object{}
+                .add_raw("inner", inner)
+                .add_raw("arr", json::array({json::Object{}.str(), "null"}))
+                .add_number("e", 1e-7)
+                .str(),
+            R"({"inner":{"x":0.10000000000000001,"nan":null,"inf":"-inf"},)"
+            R"("arr":[{},null],"e":9.9999999999999995e-08})");
 }
 
 TEST(JsonObject, OrderPreservingAndTyped) {

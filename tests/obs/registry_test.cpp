@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <locale>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -256,6 +261,58 @@ TEST(Registry, SnapshotJsonHasTheDocumentedShape) {
     ASSERT_GE(depth, 0);
   }
   EXPECT_EQ(depth, 0);
+}
+
+/// Digit grouping and a decimal comma, as a host locale might install
+/// them with std::locale::global; a default stream would then print
+/// 1234567 as "1.234.567".
+struct GroupingDecimalComma : std::numpunct<char> {
+  char do_decimal_point() const override { return ','; }
+  char do_thousands_sep() const override { return '.'; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+TEST(Registry, SnapshotJsonIsPinnedByteForByte) {
+  // Every value kind the renderer handles: escaped names, integer
+  // counters at both ends of their range, 17-digit doubles, NaN /
+  // infinities, an empty histogram; the same bytes under a grouping,
+  // decimal-comma global locale.
+  Snapshot snap;
+  snap.counters = {{"serve.requests_total", 1234567},
+                   {"a\"b\\c\n\x01", 0},
+                   {"max", UINT64_MAX}};
+  snap.gauges = {{"g.tenth", 0.1},
+                 {"g.nan", std::nan("")},
+                 {"g.inf", std::numeric_limits<double>::infinity()},
+                 {"g.tiny", -2.5e-300},
+                 {"g.big", 1e21},
+                 {"g.int", 42.0}};
+  HistogramSnapshot h;
+  h.name = "lat_us";
+  h.bounds = {100.0, 400.5, 1e6};
+  h.counts = {1, 2, 0, 3};
+  h.count = 6;
+  h.sum = 12345.678;
+  snap.histograms.push_back(h);
+  HistogramSnapshot& empty = snap.histograms.emplace_back();
+  empty.name = "empty";
+  empty.bounds = {1.0};
+  empty.counts = {0, 0};
+  const std::string golden =
+      R"({"counters":{"serve.requests_total":1234567,"a\"b\\c\n\u0001":0,)"
+      R"("max":18446744073709551615},"gauges":{"g.tenth":0.10000000000000001,)"
+      R"("g.nan":null,"g.inf":"inf","g.tiny":-2.5e-300,"g.big":1e+21,)"
+      R"("g.int":42},"histograms":{"lat_us":{"count":6,"sum":12345.678,)"
+      R"("mean":2057.6129999999998,"p50":400.5,"p95":1000000,"p99":1000000,)"
+      R"("bounds":[100,400.5,1000000],"counts":[1,2,0,3]},"empty":{"count":0,)"
+      R"("sum":0,"mean":0,"p50":0,"p95":0,"p99":0,"bounds":[1],)"
+      R"("counts":[0,0]}}})";
+  EXPECT_EQ(snap.to_json(), golden);
+  const std::locale previous = std::locale::global(
+      std::locale(std::locale::classic(), new GroupingDecimalComma));
+  const std::string localized = snap.to_json();
+  std::locale::global(previous);
+  EXPECT_EQ(localized, golden);
 }
 
 TEST(Buckets, ExponentialAndLinear) {

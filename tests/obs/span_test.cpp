@@ -205,10 +205,16 @@ TEST(ChromeExport, DocumentIsStructurallyValidJson) {
 }
 
 TEST(ChromeHelpers, EscapeHandlesQuotesBackslashesAndControls) {
-  EXPECT_EQ(chrome::escape("plain"), "plain");
-  EXPECT_EQ(chrome::escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(chrome::escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(chrome::escape("a\nb"), "a\\nb");
+  // Event names go through the shared JSON escaper (json_text).
+  EXPECT_EQ(chrome::thread_name(1, 2, "plain"),
+            R"({"name":"thread_name","ph":"M","pid":1,"tid":2,)"
+            R"("args":{"name":"plain"}})");
+  EXPECT_EQ(chrome::process_name(3, std::string_view("a\"b\\c\nd\x01", 8)),
+            R"({"name":"process_name","ph":"M","pid":3,"tid":0,)"
+            R"("args":{"name":"a\"b\\c\nd\u0001"}})");
+  EXPECT_EQ(chrome::instant("q\"", 1, 1, 2.5),
+            R"({"name":"q\"","cat":"ftmc","ph":"i","s":"t","pid":1,"tid":1,)"
+            R"("ts":2.5})");
 }
 
 TEST(SpanRecorder, LaneLimitDegradesToDroppingNotFailing) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "ftmc/core/conversion.hpp"
 #include "ftmc/core/ft_scheduler.hpp"
@@ -26,7 +27,13 @@ struct Scenario {
   double utilization;
   double failure_prob;
   Dal lo_dal;
+  /// Occupies what would be tail padding. gtest names each case by the
+  /// struct's raw bytes, and padding bytes differ from build to build.
+  std::int32_t zero = 0;
 };
+static_assert(sizeof(Scenario) ==
+                  2 * sizeof(double) + sizeof(Dal) + sizeof(std::int32_t),
+              "Scenario must have no padding bytes");
 
 class RandomSets : public ::testing::TestWithParam<Scenario> {
  protected:

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "ftmc/core/ft_scheduler.hpp"
 #include "ftmc/mcs/edf_vd.hpp"
@@ -21,6 +22,15 @@ struct Scenario {
   mcs::AdaptationKind kind;
   std::uint64_t seed;
 };
+
+/// Names each ctest case by its fields ("U0.3_killing_seed101"). Without
+/// it gtest prints the struct's raw bytes, padding included, and the
+/// names differ from build to build.
+void PrintTo(const Scenario& s, std::ostream* os) {
+  *os << 'U' << s.utilization << '_'
+      << (s.kind == mcs::AdaptationKind::kKilling ? "killing" : "degradation")
+      << "_seed" << s.seed;
+}
 
 class AcceptedSystems : public ::testing::TestWithParam<Scenario> {};
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "ftmc/fms/fms.hpp"
 #include "ftmc/sim/model.hpp"
 
@@ -89,6 +92,51 @@ TEST(RtReplay, DetectsATruncatedTrace) {
   EXPECT_FALSE(diff.identical);
   EXPECT_EQ(diff.first_divergence, result.trace.size());
   EXPECT_NE(diff.message.find("lengths"), std::string::npos) << diff.message;
+}
+
+TEST(RtReplay, StoppedRunReplaysAsAPrefix) {
+  // A paced run stopped from another thread, as SIGINT stops
+  // ftmc_rtdemo: it ends long before its 2-s horizon.
+  const std::vector<rt::Task> tasks = fms_tasks(0.05);
+  rt::PosixHostConfig cfg = fms_config();
+  cfg.time_scale = 1.0;
+  rt::PosixHost host(tasks, cfg);
+  rt::PosixResult result;
+  std::thread runner([&] { result = host.run(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  host.request_stop();
+  runner.join();
+  ASSERT_TRUE(result.stopped);
+  ASSERT_FALSE(result.trace.empty());
+  const std::vector<rt::Event> full = check::replay_sim_trace(tasks, cfg);
+  ASSERT_LT(result.trace.size(), full.size());
+
+  const check::ReplayDiff prefix =
+      check::replay_through_sim(tasks, cfg, result.trace, result.stopped);
+  EXPECT_TRUE(prefix.identical) << prefix.message;
+  EXPECT_EQ(prefix.posix_events, result.trace.size());
+  EXPECT_EQ(prefix.sim_events, full.size());
+
+  // Only a stopped run may be short.
+  const check::ReplayDiff as_full =
+      check::replay_through_sim(tasks, cfg, result.trace, /*stopped=*/false);
+  EXPECT_FALSE(as_full.identical);
+  EXPECT_NE(as_full.message.find("lengths"), std::string::npos)
+      << as_full.message;
+
+  // A prefix must still match event for event.
+  const std::size_t victim = result.trace.size() / 2;
+  result.trace[victim].time += 1;
+  const check::ReplayDiff corrupted =
+      check::replay_through_sim(tasks, cfg, result.trace, result.stopped);
+  EXPECT_FALSE(corrupted.identical);
+  EXPECT_EQ(corrupted.first_divergence, victim);
+}
+
+TEST(RtReplay, UnstoppedRunIsNotMarkedStopped) {
+  const std::vector<rt::Task> tasks = fms_tasks(0.05);
+  rt::PosixHost host(tasks, fms_config());
+  EXPECT_FALSE(host.run().stopped);
 }
 
 TEST(RtReplay, RegisteredPropertiesPassOnTheFmsCase) {
