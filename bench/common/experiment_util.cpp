@@ -119,24 +119,6 @@ bool progress_requested(int argc, char** argv) {
   return false;
 }
 
-campaign::CampaignSpec fig3_campaign_spec(const Fig3Config& config,
-                                          std::string name) {
-  campaign::CampaignSpec spec;
-  spec.name = std::move(name);
-  spec.title = config.title.empty() ? spec.name : config.title;
-  spec.schedulers = {config.kind == mcs::AdaptationKind::kKilling
-                         ? campaign::Scheduler::kEdfVdKilling
-                         : campaign::Scheduler::kEdfVdDegradation};
-  spec.mapping = config.mapping;
-  spec.degradation_factor = config.degradation_factor;
-  spec.os_hours = config.os_hours;
-  spec.failure_probs = config.failure_probs;
-  spec.utilizations = config.utilizations;
-  spec.sets_per_point = config.sets_per_point;
-  spec.seed = config.seed;
-  return spec;
-}
-
 std::vector<Fig3Point> fig3_points_from(
     const campaign::CampaignResult& result) {
   std::vector<Fig3Point> points;
@@ -153,28 +135,20 @@ std::vector<Fig3Point> fig3_points_from(
   return points;
 }
 
-std::vector<Fig3Point> run_fig3(const Fig3Config& config) {
-  campaign::RunnerOptions options;
-  options.threads = config.threads;
-  options.stats = config.stats;
-  options.progress = config.progress;
-  return fig3_points_from(
-      campaign::run_campaign(fig3_campaign_spec(config), options));
-}
-
-void print_fig3(const Fig3Config& config,
+void print_fig3(const campaign::CampaignSpec& spec,
                 const std::vector<Fig3Point>& points) {
-  std::cout << "=== " << config.title << " ===\n";
-  std::cout << "mapping HI=" << to_string(config.mapping.hi)
-            << " LO=" << to_string(config.mapping.lo)
+  std::cout << "=== " << spec.title << " ===\n";
+  std::cout << "mapping HI=" << to_string(spec.mapping.hi)
+            << " LO=" << to_string(spec.mapping.lo)
             << ", mechanism="
-            << (config.kind == mcs::AdaptationKind::kKilling
+            << (campaign::adaptation_of(spec.schedulers.front()) ==
+                        mcs::AdaptationKind::kKilling
                     ? "task killing"
                     : "service degradation")
-            << ", O_S=" << config.os_hours << "h, "
-            << config.sets_per_point << " task sets per point\n\n";
+            << ", O_S=" << spec.os_hours << "h, " << spec.sets_per_point
+            << " task sets per point\n\n";
 
-  for (const double f : config.failure_probs) {
+  for (const double f : spec.failure_probs) {
     io::Table table({"U", "accept(no adaptation)", "accept(FT-EDF-VD)",
                      "gap"});
     for (const Fig3Point& p : points) {
@@ -193,21 +167,6 @@ void print_fig3(const Fig3Config& config,
               << p.ratio_without << "," << p.ratio_with << "\n";
   }
   std::cout << std::endl;
-}
-
-void print_fig3(const campaign::CampaignSpec& spec,
-                const std::vector<Fig3Point>& points) {
-  Fig3Config config;
-  config.title = spec.title;
-  config.kind = campaign::adaptation_of(spec.schedulers.front());
-  config.mapping = spec.mapping;
-  config.degradation_factor = spec.degradation_factor;
-  config.failure_probs = spec.failure_probs;
-  config.utilizations = spec.utilizations;
-  config.sets_per_point = spec.sets_per_point;
-  config.os_hours = spec.os_hours;
-  config.seed = spec.seed;
-  print_fig3(config, points);
 }
 
 Expected<BenchOverrides> parse_bench_overrides(int argc, char** argv,
@@ -263,19 +222,6 @@ Expected<BenchOverrides> parse_bench_overrides(int argc, char** argv,
     overrides.threads = static_cast<int>(*n);
   }
   return overrides;
-}
-
-Expected<Fig3Config> apply_cli_overrides(Fig3Config config, int argc,
-                                         char** argv) {
-  const auto parsed = parse_bench_overrides(argc, argv);
-  if (!parsed) return Expected<Fig3Config>::failure(parsed.error());
-  if (parsed->sets) config.sets_per_point = *parsed->sets;
-  if (parsed->seed) config.seed = *parsed->seed;
-  if (parsed->threads) config.threads = *parsed->threads;
-  if (parsed->progress && !config.progress) {
-    config.progress = obs::stderr_progress("fig3");
-  }
-  return config;
 }
 
 int fig3_campaign_main(const char* bench_name,

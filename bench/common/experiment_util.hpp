@@ -15,7 +15,6 @@
 #include "ftmc/campaign/spec.hpp"
 #include "ftmc/common/expected.hpp"
 #include "ftmc/core/ft_scheduler.hpp"
-#include "ftmc/exec/stats.hpp"
 #include "ftmc/obs/progress.hpp"
 #include "ftmc/taskgen/generator.hpp"
 
@@ -69,35 +68,6 @@ class BenchReport {
 /// True when `--progress` appears in argv (live stderr progress meter).
 [[nodiscard]] bool progress_requested(int argc, char** argv);
 
-/// Configuration of one Fig. 3 subfigure (Sec. 5.2 / Appendix C.0.5).
-struct Fig3Config {
-  std::string title;
-  mcs::AdaptationKind kind = mcs::AdaptationKind::kKilling;
-  DualCriticalityMapping mapping{Dal::B, Dal::D};
-  double degradation_factor = 6.0;
-  /// Universal per-job failure probabilities to sweep (legend of Fig. 3).
-  std::vector<double> failure_probs{1e-3, 1e-5};
-  /// System utilizations on the x-axis. Note this is the *base* (single-
-  /// execution) utilization; re-execution inflates the effective load by
-  /// roughly n_HI/n_LO, so acceptance declines well before U = 1.
-  std::vector<double> utilizations{0.10, 0.15, 0.20, 0.25, 0.30, 0.35,
-                                   0.40, 0.45, 0.50, 0.55, 0.60, 0.65,
-                                   0.70, 0.75, 0.80, 0.85, 0.90, 0.95,
-                                   1.00};
-  int sets_per_point = 500;  ///< paper: "500 at each data point"
-  double os_hours = 1.0;
-  std::uint64_t seed = 20140601;  // DAC 2014
-  /// Worker threads for the per-data-point sweep: <= 0 = one per
-  /// hardware thread (default), 1 = serial. Each (f, U) point draws its
-  /// task sets from a stream derived from (seed, point index) only, so
-  /// results are identical for every thread count.
-  int threads = 0;
-  exec::RunStats* stats = nullptr;  ///< optional run counters
-  /// Optional progress callback (done = data points finished). The
-  /// `--progress` CLI flag installs a stderr meter when this is empty.
-  obs::ProgressFn progress;
-};
-
 /// One data point: acceptance ratios with and without the adaptation
 /// mechanism (the shaded "schedulability gap" of Fig. 3).
 struct Fig3Point {
@@ -107,29 +77,13 @@ struct Fig3Point {
   double ratio_with = 0.0;     ///< FT-EDF-VD (killing or degradation)
 };
 
-/// The Fig3Config expressed as a single-scheduler campaign spec; the
-/// campaign runner is the one implementation of the sweep.
-[[nodiscard]] campaign::CampaignSpec fig3_campaign_spec(
-    const Fig3Config& config, std::string name = "fig3");
-
 /// Completed campaign cells as Fig. 3 points (expansion order ==
 /// the historical point order: failure_probs major, utilizations minor).
 [[nodiscard]] std::vector<Fig3Point> fig3_points_from(
     const campaign::CampaignResult& result);
 
-/// Runs the experiment through ftmc::campaign (in memory — use the
-/// ftmc_campaign CLI or fig3_campaign_main's --out for persistent,
-/// resumable runs). For each random task set, the baseline accepts if
-/// the minimal re-execution profiles exist and worst-case EDF fits without
-/// any adaptation; the adaptive variant additionally tries FT-EDF-VD
-/// ("task killing or service degradation is only adopted if the system is
-/// not feasible otherwise", Appendix C).
-[[nodiscard]] std::vector<Fig3Point> run_fig3(const Fig3Config& config);
-
-/// Prints the experiment as aligned text plus a CSV block for plotting.
-void print_fig3(const Fig3Config& config,
-                const std::vector<Fig3Point>& points);
-/// Same, with the headline fields taken from a campaign spec.
+/// Prints a Fig. 3 campaign's points as aligned text plus a CSV block
+/// for plotting, with the headline fields taken from its spec.
 void print_fig3(const campaign::CampaignSpec& spec,
                 const std::vector<Fig3Point>& points);
 
@@ -144,19 +98,13 @@ struct BenchOverrides {
 };
 
 /// Parses "--sets N", "--seed S", "--threads T", "--progress" and (when
-/// `allow_campaign_flags`) "--spec FILE" / "--out DIR". Strict: unknown
-/// flags, missing values and malformed numbers come back as an error —
-/// mains print it and exit non-zero instead of silently ignoring input.
+/// `allow_campaign_flags`) "--spec FILE" / "--out DIR", then applies the
+/// FTMC_BENCH_SETS / FTMC_BENCH_THREADS environment overrides (CI smoke
+/// runs; env wins over CLI). Strict: unknown flags, missing values and
+/// malformed numbers, CLI or environment, come back as an error — mains
+/// print it and exit non-zero instead of silently ignoring input.
 [[nodiscard]] Expected<BenchOverrides> parse_bench_overrides(
     int argc, char** argv, bool allow_campaign_flags = false);
-
-/// Applies parse_bench_overrides plus the FTMC_BENCH_SETS /
-/// FTMC_BENCH_THREADS environment overrides (CI smoke runs; env wins
-/// over CLI) to a Fig3Config. Malformed input — CLI or environment —
-/// is an error, not a silent default.
-[[nodiscard]] Expected<Fig3Config> apply_cli_overrides(Fig3Config config,
-                                                       int argc,
-                                                       char** argv);
 
 /// Shared main() of the fig3a-d benches: loads the campaign spec at
 /// `default_spec_path` (overridable with --spec), applies CLI/env

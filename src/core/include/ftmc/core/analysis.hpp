@@ -5,6 +5,9 @@
 /// the fault model of Sec. 2.1: every execution attempt of a job of task
 /// tau_i fails independently with probability f_i; a job fails if all its
 /// (up to) n_i attempts fail. "One round" = the n_i attempts of one job.
+/// Each bound is written once, over a RoundModel (round_model.hpp), at the
+/// end of this header; checkpointing (ft_checkpoint.hpp) is the second
+/// mechanism that runs on them.
 ///
 /// Numerical notes: per-round failure probabilities f^n reach 1e-45 and the
 /// killing bound subtracts survival probabilities within 1e-10 of 1, so the
@@ -14,18 +17,10 @@
 #include <vector>
 
 #include "ftmc/core/ft_task.hpp"
+#include "ftmc/core/round_model.hpp"
 #include "ftmc/prob/logprob.hpp"
 
 namespace ftmc::core {
-
-/// Footnote 1 of the paper: the round-counting term n_i * C_i in Eqs. (1),
-/// (4), (6) assumes each attempt takes its full WCET at runtime. If that
-/// cannot be assumed, the term must be dropped (C_i -> 0), which yields a
-/// slightly larger (still safe) round count.
-enum class ExecAssumption {
-  kFullWcet,  ///< attempts take exactly C_i (paper main text)
-  kZero,      ///< attempts may finish early (footnote variant)
-};
 
 /// Eq. (1): maximum number of rounds of a task with re-execution profile n
 /// that the window [0, t] can accommodate:
@@ -111,5 +106,18 @@ struct KillingBoundOptions {
     const FtTaskSet& ts, const PerTaskProfile& n,
     const PerTaskProfile& n_adapt, double df, double os_hours, Millis t0,
     ExecAssumption exec = ExecAssumption::kFullWcet);
+
+// --- Eqs. (2), (3), (5), (6) and (7) over any round model: Eq. (1) counts
+// rounds at the model's round or trigger budget in place of n*C or n'*C,
+// and the model's probabilities stand in for f^n and f^{n'}. Every
+// overload above is the re-execution instance of one of these.
+[[nodiscard]] double pfh_plain(const RoundModel& model, CritLevel level);
+[[nodiscard]] prob::LogProb survival_no_trigger(const RoundModel& model,
+                                                Millis t);
+[[nodiscard]] double pfh_lo_killing(const RoundModel& model, double os_hours,
+                                    double early_exit_above = 0.0);
+[[nodiscard]] double omega(const RoundModel& model, double df, Millis t);
+[[nodiscard]] double pfh_lo_degradation(const RoundModel& model,
+                                        double os_hours);
 
 }  // namespace ftmc::core

@@ -19,8 +19,11 @@
 ///    segment-faults occur before the k segments all succeed — a negative
 ///    binomial tail, evaluated stably in the log domain.
 ///
-/// With k = 1 and zero overhead the model degenerates to task
-/// re-execution with n = R + 1, which the tests verify.
+/// These are checkpointing's entries of the round model
+/// (round_model.hpp); the PFH bounds, the conversion and FT-S itself are
+/// the ones re-execution runs. With k = 1 and zero overhead the model
+/// degenerates to task re-execution with n = R + 1, which the tests
+/// verify.
 #pragma once
 
 #include <optional>
@@ -54,9 +57,16 @@ struct CheckpointScheme {
 [[nodiscard]] double checkpointed_job_failure_prob(
     double failure_prob, const CheckpointScheme& scheme);
 
-/// Eq. (2) adapted to checkpointing: PFH of the tasks at `level` when
-/// each uses its per-task scheme. Round counting uses the checkpointed
-/// worst-case budget in place of n*C.
+/// Per-round probability that a job reaches its m-th segment fault
+/// (m >= 1; m = 0 means the trigger fires unconditionally): the trigger
+/// probability replacing f^{n'} in Lemma 3.2.
+[[nodiscard]] double ckpt_trigger_prob(double failure_prob, int segments,
+                                       double overhead_fraction, int m);
+
+/// Eq. (2) under checkpointing: PFH of the tasks at `level` when each uses
+/// its per-task scheme — the shared Eq. (2) over a checkpointing
+/// RoundModel, so round counting uses the checkpointed worst-case budget
+/// in place of n*C.
 [[nodiscard]] double pfh_plain_checkpointed(
     const FtTaskSet& ts, const std::vector<CheckpointScheme>& schemes,
     CritLevel level);

@@ -1,65 +1,24 @@
 /// \file ft_checkpoint.hpp
-/// \brief Extension: the paper's framework generalized to checkpoint/
-///        restart fault tolerance.
+/// \brief Extension: FT-S with checkpoint/restart fault tolerance.
 ///
-/// The paper's pipeline — quantify PFH, convert to a Vestal task set,
-/// schedule with a mixed-criticality technique — does not actually depend
-/// on *full* re-execution; it only needs, per task,
-///   (a) the per-round failure probability,
-///   (b) the per-round worst-case budget, and
-///   (c) a trigger event with a per-round probability and a conservative
-///       LO-mode budget.
-/// With checkpointing (k segments, retry budget R, overhead o; see
-/// checkpointing.hpp) these are:
-///   (a) the negative-binomial tail P(faults > R)
-///       = checkpointed_job_failure_prob,
-///   (b) (k + R) * seg with seg = C/k + o*C,
-///   (c) trigger = "the m-th segment fault of a HI job": per-round
-///       probability P(faults >= m) (the same tail with budget m-1), and
-///       LO-mode budget (k - 1 + m) * seg — a job that exceeds it must
-///       have faulted at least m times (<= k-1 successes while
-///       incomplete), the exact analog of the paper's n'*C argument.
-/// k = 1, R = n-1, m = n' degenerates to the paper's equations, which the
-/// tests verify term by term.
+/// The paper's pipeline does not depend on *full* re-execution: per task
+/// it needs only what a RoundModel (round_model.hpp) supplies. With
+/// checkpointing (k segments, retry budget R, overhead o; see
+/// checkpointing.hpp) a round fails with the binomial tail P(faults > R)
+/// and costs at most (k + R) * seg, seg = C/k + o*C; the trigger is the
+/// m-th segment fault of a HI job, with per-round probability
+/// P(faults >= m) and LO-mode budget (k - 1 + m) * seg — a job that
+/// exceeds it must have faulted at least m times, the exact analog of the
+/// paper's n'*C argument. ft_schedule_checkpointed is therefore the one
+/// Algorithm 1 of ft_schedule (defined beside it in ft_scheduler.cpp) run
+/// over a checkpointing FtMechanism: retry budgets R in [0, kMaxProfile]
+/// in place of n, fault thresholds m in place of n'.
 #pragma once
 
 #include "ftmc/core/checkpointing.hpp"
 #include "ftmc/core/ft_scheduler.hpp"
 
 namespace ftmc::core {
-
-/// Per-round probability that a job reaches its m-th segment fault
-/// (m >= 1; m = 0 means the trigger fires unconditionally). This is the
-/// trigger probability replacing f^{n'} in Lemma 3.2.
-[[nodiscard]] double ckpt_trigger_prob(double failure_prob, int segments,
-                                       double overhead_fraction, int m);
-
-/// Lemma 3.2 generalized: survival of the kill/degrade trigger in [0, t]
-/// when HI task i triggers at its m_i-th fault. Round counting uses the
-/// minimal pre-trigger busy time m_i * seg_i.
-[[nodiscard]] prob::LogProb ckpt_survival_no_trigger(
-    const FtTaskSet& ts, const std::vector<CheckpointScheme>& schemes,
-    const PerTaskProfile& fault_thresholds, Millis t);
-
-/// Lemma 3.3 generalized: LO-level PFH bound under killing. pi-points use
-/// the checkpointed worst-case budget in place of n*C.
-[[nodiscard]] double ckpt_pfh_lo_killing(
-    const FtTaskSet& ts, const std::vector<CheckpointScheme>& schemes,
-    const PerTaskProfile& fault_thresholds, double os_hours);
-
-/// Lemma 3.4 generalized: LO-level PFH bound under service degradation.
-[[nodiscard]] double ckpt_pfh_lo_degradation(
-    const FtTaskSet& ts, const std::vector<CheckpointScheme>& schemes,
-    const PerTaskProfile& fault_thresholds, double os_hours);
-
-/// Lemma 4.1 generalized: the converted Vestal task set.
-///  - HI task i: C(HI) = (k + R_i) * seg_i,
-///               C(LO) = 0 if m_i = 0 else (k - 1 + m_i) * seg_i;
-///  - LO task i: C(HI) = C(LO) = (k + R_i) * seg_i.
-/// Precondition: 0 <= m_i <= R_i + 1 (m = R+1 means "never triggers").
-[[nodiscard]] mcs::McTaskSet convert_to_mc_checkpointed(
-    const FtTaskSet& ts, const std::vector<CheckpointScheme>& schemes,
-    const PerTaskProfile& fault_thresholds);
 
 /// Configuration of a checkpointed FT-S run: the segment count and
 /// checkpoint overhead are uniform (a per-task choice would compose the

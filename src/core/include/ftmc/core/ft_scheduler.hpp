@@ -89,8 +89,16 @@ struct FtsResult {
   std::string scheduler_name;
 };
 
+/// The technique S an FT-S run schedules with: `test` if given, else the
+/// instantiation of Appendix B for the adaptation — worst-case EDF
+/// without one, EDF-VD under killing, the Eq. (12) variant under
+/// degradation. Every FT-S entry point resolves S here.
+[[nodiscard]] mcs::SchedulabilityTestPtr resolve_test(
+    const mcs::SchedulabilityTestPtr& test, const AdaptationModel& model);
+
 /// Runs FT-S (Theorem 4.1: if success, both safety and schedulability are
-/// guaranteed).
+/// guaranteed). The checkpointed FT-S (ft_checkpoint.hpp) runs the same
+/// Algorithm 1 over a checkpointing FtMechanism.
 [[nodiscard]] FtsResult ft_schedule(const FtTaskSet& ts,
                                     const FtsConfig& config);
 

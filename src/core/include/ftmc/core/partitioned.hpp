@@ -14,6 +14,8 @@
 ///  - the LO requirement is checked against that sum — per-core
 ///    adaptation profiles are chosen maximal-schedulable (Algorithm 1
 ///    line 8 per core), which also maximizes safety per core.
+/// The global profiles come from FT-S's line-2 search and each core runs
+/// its line-8 scan and LO bound (profiles.hpp): one pipeline, per core.
 #pragma once
 
 #include "ftmc/core/ft_scheduler.hpp"

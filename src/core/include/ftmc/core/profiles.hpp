@@ -1,12 +1,14 @@
 /// \file profiles.hpp
 /// \brief Search for re-execution and adaptation profiles.
 ///
-/// Implements the infimum/supremum searches of Algorithm 1:
-///  - line 2: minimal per-level re-execution profiles meeting plain safety,
-///  - line 4: minimal adaptation profile n1_HI keeping the LO level safe
-///    under killing (Eq. 5) or degradation (Eq. 7).
-/// Both searched quantities are monotone (PFH bounds strictly improve with
-/// larger profiles), so a linear scan from below yields the infimum.
+/// Implements the infimum/supremum searches of Algorithm 1 once, over an
+/// FtMechanism (round_model.hpp), for re-execution and checkpointing:
+///  - line 2: minimal per-level budgets meeting plain safety (Eq. 2),
+///  - line 4: minimal threshold keeping the LO level safe (Eq. 5 / 7),
+///  - line 8: maximal threshold whose converted set is schedulable.
+/// The PFH bounds improve with larger budgets and thresholds, so lines 2
+/// and 4 scan upward; schedulability worsens with larger thresholds
+/// (Theorem 4.1 proof), so line 8 scans downward.
 #pragma once
 
 #include <optional>
@@ -61,5 +63,34 @@ struct AdaptationModel {
     const AdaptationModel& model,
     ExecAssumption exec = ExecAssumption::kFullWcet,
     double early_exit_above = 0.0);
+
+/// The one dispatch of the LO bound: Eq. (5) under killing, Eq. (7) under
+/// degradation, Eq. (2) without adaptation; `early_exit_above` as in
+/// KillingBoundOptions.
+[[nodiscard]] double pfh_lo_under_adaptation(const RoundModel& rounds,
+                                             const AdaptationModel& model,
+                                             double early_exit_above = 0.0);
+
+/// Line 2 under any mechanism (min_reexec_profile is the re-execution
+/// instance): budgets from mech.min_budget() up to kMaxProfile.
+[[nodiscard]] std::optional<int> min_budget(FtMechanism& mech,
+                                            CritLevel level,
+                                            const SafetyRequirements& reqs);
+
+/// Line 4 under any mechanism (min_adaptation_profile is the
+/// re-execution instance): thresholds below mech.never_fires(b_hi).
+[[nodiscard]] std::optional<int> min_threshold(FtMechanism& mech, int b_hi,
+                                               int b_lo,
+                                               const SafetyRequirements& reqs,
+                                               const AdaptationModel& model);
+
+/// Line 8: the largest threshold in [0, mech.never_fires(b_hi)] whose
+/// converted set `test` accepts. With `closed_form` (re-execution only),
+/// an implicit-deadline set under killing or degradation is decided by
+/// umc_closed_form(...) <= 1 instead (Algorithm 2 line 11 / Eq. (11)).
+[[nodiscard]] std::optional<int> max_schedulable_threshold(
+    FtMechanism& mech, int b_hi, int b_lo,
+    const mcs::SchedulabilityTest& test, const AdaptationModel& model,
+    bool closed_form);
 
 }  // namespace ftmc::core

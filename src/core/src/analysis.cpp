@@ -10,69 +10,67 @@
 namespace ftmc::core {
 namespace {
 
-/// Shared round-counting core for Eqs. (1) and (6): the shortest window
-/// accommodating k rounds is (k-1)*period + n*C (Lemma 3.1 proof), so
-/// r = max(floor((t - n*C)/period) + 1, 0).
-double rounds_impl(Millis period, Millis wcet, int n, Millis t,
-                   ExecAssumption exec) {
-  FTMC_EXPECTS(n >= 0, "re-execution profile must be non-negative");
-  const Millis busy =
-      (exec == ExecAssumption::kFullWcet) ? static_cast<Millis>(n) * wcet
-                                          : 0.0;
-  const double r = std::floor((t - busy) / period) + 1.0;
-  return std::max(r, 0.0);
+/// Eq. (1) with the round budget as the busy term: the shortest window
+/// accommodating k rounds is (k-1)*period + busy (Lemma 3.1 proof), so
+/// r = max(floor((t - busy)/period) + 1, 0).
+double round_count(Millis period, Millis busy, Millis t) {
+  return std::max(std::floor((t - busy) / period) + 1.0, 0.0);
 }
 
 }  // namespace
 
 double rounds(const FtTask& task, int n, Millis t, ExecAssumption exec) {
   task.validate();
-  return rounds_impl(task.period, task.wcet, n, t, exec);
+  return round_count(task.period, attempts_busy(n, task.wcet, exec), t);
 }
 
-double pfh_plain(const FtTaskSet& ts, const PerTaskProfile& n,
-                 CritLevel level, ExecAssumption exec) {
+double pfh_plain(const RoundModel& model, CritLevel level) {
+  const FtTaskSet& ts = model.tasks();
   ts.validate();
-  FTMC_EXPECTS(n.size() == ts.size(), "profile size must match task set");
   const Millis t = kMillisPerHour;  // PFH is time-invariant (Lemma 3.1)
   double pfh = 0.0;
   for (std::size_t i = 0; i < ts.size(); ++i) {
     if (ts.crit_of(i) != level) continue;
-    FTMC_EXPECTS(n[i] >= 1,
-                 "a task that participates in the PFH bound must execute at "
-                 "least once per round");
-    const double r = rounds_impl(ts[i].period, ts[i].wcet, n[i], t, exec);
-    pfh += r * prob::pow_prob(ts[i].failure_prob, n[i]);
+    const Round round = model.round(i);
+    pfh += round_count(ts[i].period, round.busy, t) * round.prob;
   }
   return pfh;
+}
+
+double pfh_plain(const FtTaskSet& ts, const PerTaskProfile& n,
+                 CritLevel level, ExecAssumption exec) {
+  // Eq. (2) reads no trigger, so n stands in for the adaptation profile.
+  return pfh_plain(RoundModel::reexecution(ts, n, n, exec), level);
+}
+
+prob::LogProb survival_no_trigger(const RoundModel& model, Millis t) {
+  const FtTaskSet& ts = model.tasks();
+  double log_r = 0.0;
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    if (ts.crit_of(i) != CritLevel::HI) continue;
+    const Round trigger = model.trigger(i);
+    const double r = round_count(ts[i].period, trigger.busy, t);
+    if (r <= 0.0) continue;  // no round fits: this task cannot trigger
+    if (trigger.prob >= 1.0) return prob::LogProb::zero();  // certain
+    log_r += prob::log_survival(trigger.prob, r);
+  }
+  return prob::LogProb::from_log(log_r);
 }
 
 prob::LogProb survival_no_trigger(const FtTaskSet& ts,
                                   const PerTaskProfile& n_adapt, Millis t,
                                   ExecAssumption exec) {
-  FTMC_EXPECTS(n_adapt.size() == ts.size(),
-               "profile size must match task set");
-  double log_r = 0.0;
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    if (ts.crit_of(i) != CritLevel::HI) continue;
-    FTMC_EXPECTS(n_adapt[i] >= 0, "adaptation profile must be non-negative");
-    const double r = rounds_impl(ts[i].period, ts[i].wcet, n_adapt[i], t, exec);
-    if (r <= 0.0) continue;  // no round fits: this task cannot trigger
-    const double p_trigger = prob::pow_prob(ts[i].failure_prob, n_adapt[i]);
-    if (p_trigger >= 1.0) return prob::LogProb::zero();  // n' == 0: certain
-    log_r += prob::log_survival(p_trigger, r);
-  }
-  return prob::LogProb::from_log(log_r);
+  // Eq. (3) reads no round, so n_adapt stands in for the attempt profile.
+  return survival_no_trigger(
+      RoundModel::reexecution(ts, n_adapt, n_adapt, exec), t);
 }
 
 std::vector<Millis> pi_points(const FtTask& task, int n, Millis t,
                               ExecAssumption exec) {
   task.validate();
   FTMC_EXPECTS(n >= 1, "re-execution profile must be at least 1");
-  const double r = rounds_impl(task.period, task.wcet, n, t, exec);
-  const Millis busy =
-      (exec == ExecAssumption::kFullWcet) ? static_cast<Millis>(n) * task.wcet
-                                          : 0.0;
+  const Millis busy = attempts_busy(n, task.wcet, exec);
+  const double r = round_count(task.period, busy, t);
   std::vector<Millis> points;
   points.reserve(static_cast<std::size_t>(std::max(r, 1.0)));
   for (double m = 1.0; m < r; m += 1.0) {
@@ -111,38 +109,28 @@ constexpr std::size_t kKillingChunk = 4096;
 
 }  // namespace
 
-double pfh_lo_killing(const FtTaskSet& ts, const PerTaskProfile& n,
-                      const PerTaskProfile& n_adapt,
-                      const KillingBoundOptions& opt) {
+double pfh_lo_killing(const RoundModel& model, double os_hours,
+                      double early_exit_above) {
+  const FtTaskSet& ts = model.tasks();
   ts.validate();
-  FTMC_EXPECTS(n.size() == ts.size() && n_adapt.size() == ts.size(),
-               "profile sizes must match task set");
-  FTMC_EXPECTS(opt.os_hours > 0.0, "operation duration must be positive");
-  const Millis t = hours_to_millis(opt.os_hours);
+  FTMC_EXPECTS(os_hours > 0.0, "operation duration must be positive");
+  const Millis t = hours_to_millis(os_hours);
 
   // Pre-extract the HI-task quantities needed to evaluate log R(alpha):
-  // log R(alpha) = sum_j r_j(n'_j, alpha) * log(1 - f_j^{n'_j}).
+  // log R(alpha) = sum_j r_j(alpha) * log(1 - p_j), with r_j counted at
+  // the trigger budget and p_j the per-round trigger probability.
   KillingWorkspace& ws = killing_workspace();
   ws.hi_period.clear();
   ws.hi_busy.clear();
   ws.hi_log_per_round.clear();
   for (std::size_t j = 0; j < ts.size(); ++j) {
     if (ts.crit_of(j) != CritLevel::HI) continue;
-    // The paper's algorithm keeps n' < n, but the Fig. 1/2 sweeps evaluate
-    // the bound beyond that (where the trigger can no longer fire in
-    // reality and the bound is simply more pessimistic), so only n' >= 0
-    // is required here.
-    FTMC_EXPECTS(n_adapt[j] >= 0, "killing profile must be non-negative");
-    const double p_trigger = prob::pow_prob(ts[j].failure_prob, n_adapt[j]);
-    const double lpr =
-        (p_trigger >= 1.0) ? -std::numeric_limits<double>::infinity()
-                           : std::log1p(-p_trigger);
-    const Millis busy = (opt.exec == ExecAssumption::kFullWcet)
-                            ? static_cast<Millis>(n_adapt[j]) * ts[j].wcet
-                            : 0.0;
+    const Round trigger = model.trigger(j);
     ws.hi_period.push_back(ts[j].period);
-    ws.hi_busy.push_back(busy);
-    ws.hi_log_per_round.push_back(lpr);
+    ws.hi_busy.push_back(trigger.busy);
+    ws.hi_log_per_round.push_back(
+        (trigger.prob >= 1.0) ? -std::numeric_limits<double>::infinity()
+                              : std::log1p(-trigger.prob));
   }
   const std::size_t n_hi_terms = ws.hi_period.size();
   ws.alpha.resize(kKillingChunk);
@@ -151,25 +139,20 @@ double pfh_lo_killing(const FtTaskSet& ts, const PerTaskProfile& n,
   double failures = 0.0;  // expected failure count over [0, t]
   for (std::size_t i = 0; i < ts.size(); ++i) {
     if (ts.crit_of(i) != CritLevel::LO) continue;
-    FTMC_EXPECTS(n[i] >= 1, "LO re-execution profile must be at least 1");
-    const double p_round = prob::pow_prob(ts[i].failure_prob, n[i]);
-    const double log_ok = std::log1p(-p_round);  // log(1 - f^{n})
+    const Round round = model.round(i);
+    const double log_ok = std::log1p(-round.prob);  // log(1 - p)
 
     // The pi_i(t) points of Eq. (4), generated ascending straight into the
     // chunk buffer (m descending yields exactly pi_points' reversed order,
     // with bit-identical values since every factor is the same expression).
-    const double r_i = rounds_impl(ts[i].period, ts[i].wcet, n[i], t,
-                                   opt.exec);
-    const Millis busy_i = (opt.exec == ExecAssumption::kFullWcet)
-                              ? static_cast<Millis>(n[i]) * ts[i].wcet
-                              : 0.0;
+    const double r_i = round_count(ts[i].period, round.busy, t);
     double m = r_i - 1.0;  // first ascending point; the final point is t
     bool tail_emitted = false;
     while (!tail_emitted) {
       std::size_t count = 0;
       for (; count < kKillingChunk && m >= 1.0; ++count, m -= 1.0) {
         ws.alpha[count] =
-            t - busy_i - m * ts[i].period + ts[i].deadline;
+            t - round.busy - m * ts[i].period + ts[i].deadline;
       }
       if (count < kKillingChunk) {
         ws.alpha[count++] = t;
@@ -188,53 +171,62 @@ double pfh_lo_killing(const FtTaskSet& ts, const PerTaskProfile& n,
       }
 
       for (std::size_t k = 0; k < count; ++k) {
-        // 1 - R(alpha)*(1 - f^n), fully in the log domain: for alpha <= 0
-        // the round completed before any possible kill, leaving just f^n.
+        // 1 - R(alpha)*(1 - p), fully in the log domain: for alpha <= 0
+        // the round completed before any possible kill, leaving just p.
         const double log_r = (ws.alpha[k] <= 0.0) ? 0.0 : ws.log_r[k];
         const double term = -std::expm1(log_r + log_ok);
         failures += std::clamp(term, 0.0, 1.0);
-        if (opt.early_exit_above > 0.0 &&
-            failures / opt.os_hours > opt.early_exit_above) {
-          return failures / opt.os_hours;
+        if (early_exit_above > 0.0 &&
+            failures / os_hours > early_exit_above) {
+          return failures / os_hours;
         }
       }
     }
   }
-  return failures / opt.os_hours;
+  return failures / os_hours;
 }
 
-double omega(const FtTaskSet& ts, const PerTaskProfile& n, double df,
-             Millis t, ExecAssumption exec) {
+double pfh_lo_killing(const FtTaskSet& ts, const PerTaskProfile& n,
+                      const PerTaskProfile& n_adapt,
+                      const KillingBoundOptions& opt) {
+  return pfh_lo_killing(RoundModel::reexecution(ts, n, n_adapt, opt.exec),
+                        opt.os_hours, opt.early_exit_above);
+}
+
+double omega(const RoundModel& model, double df, Millis t) {
+  const FtTaskSet& ts = model.tasks();
   ts.validate();
-  FTMC_EXPECTS(n.size() == ts.size(), "profile size must match task set");
   FTMC_EXPECTS(df >= 1.0, "omega requires d_f >= 1");
   if (t <= 0.0) return 0.0;
   double total = 0.0;
   for (std::size_t i = 0; i < ts.size(); ++i) {
     if (ts.crit_of(i) != CritLevel::LO) continue;
-    FTMC_EXPECTS(n[i] >= 1, "LO re-execution profile must be at least 1");
-    const double r =
-        rounds_impl(df * ts[i].period, ts[i].wcet, n[i], t, exec);
-    total += r * prob::pow_prob(ts[i].failure_prob, n[i]);
+    const Round round = model.round(i);
+    total += round_count(df * ts[i].period, round.busy, t) * round.prob;
   }
   return total;
+}
+
+double omega(const FtTaskSet& ts, const PerTaskProfile& n, double df,
+             Millis t, ExecAssumption exec) {
+  // Eq. (6) reads no trigger, so n stands in for the adaptation profile.
+  return omega(RoundModel::reexecution(ts, n, n, exec), df, t);
+}
+
+double pfh_lo_degradation(const RoundModel& model, double os_hours) {
+  model.tasks().validate();
+  FTMC_EXPECTS(os_hours > 0.0, "operation duration must be positive");
+  const Millis t = hours_to_millis(os_hours);
+  const double trigger_prob =
+      survival_no_trigger(model, t).complement().linear();
+  return trigger_prob * omega(model, 1.0, t) / os_hours;
 }
 
 double pfh_lo_degradation(const FtTaskSet& ts, const PerTaskProfile& n,
                           const PerTaskProfile& n_adapt, double os_hours,
                           ExecAssumption exec) {
-  ts.validate();
-  FTMC_EXPECTS(os_hours > 0.0, "operation duration must be positive");
-  for (std::size_t j = 0; j < ts.size(); ++j) {
-    if (ts.crit_of(j) == CritLevel::HI) {
-      FTMC_EXPECTS(n_adapt[j] >= 0,
-                   "degradation profile must be non-negative");
-    }
-  }
-  const Millis t = hours_to_millis(os_hours);
-  const double trigger_prob =
-      survival_no_trigger(ts, n_adapt, t, exec).complement().linear();
-  return trigger_prob * omega(ts, n, 1.0, t, exec) / os_hours;
+  return pfh_lo_degradation(RoundModel::reexecution(ts, n, n_adapt, exec),
+                            os_hours);
 }
 
 double pfh_lo_degradation_at(const FtTaskSet& ts, const PerTaskProfile& n,
@@ -246,10 +238,10 @@ double pfh_lo_degradation_at(const FtTaskSet& ts, const PerTaskProfile& n,
   FTMC_EXPECTS(os_hours > 0.0, "operation duration must be positive");
   const Millis t = hours_to_millis(os_hours);
   FTMC_EXPECTS(t0 >= 0.0 && t0 <= t, "trigger time must lie within [0, t]");
+  const RoundModel model = RoundModel::reexecution(ts, n, n_adapt, exec);
   const double trigger_prob =
-      survival_no_trigger(ts, n_adapt, t0, exec).complement().linear();
-  const double rate = omega(ts, n, 1.0, t0, exec) +
-                      omega(ts, n, df, t - t0, exec);
+      survival_no_trigger(model, t0).complement().linear();
+  const double rate = omega(model, 1.0, t0) + omega(model, df, t - t0);
   return trigger_prob * rate / os_hours;
 }
 

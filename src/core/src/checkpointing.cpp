@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "ftmc/core/analysis.hpp"
 #include "ftmc/prob/safe_math.hpp"
 
 namespace ftmc::core {
@@ -72,23 +73,22 @@ double checkpointed_job_failure_prob(double failure_prob,
   return std::clamp(p, 0.0, 1.0);
 }
 
+double ckpt_trigger_prob(double failure_prob, int segments,
+                         double overhead_fraction, int m) {
+  FTMC_EXPECTS(m >= 0, "fault threshold must be non-negative");
+  if (m == 0) return 1.0;  // triggers as soon as the job exists
+  // P(faults >= m) == P(faults > m - 1): the job-failure tail with
+  // retry budget m - 1.
+  return checkpointed_job_failure_prob(
+      failure_prob, {segments, m - 1, overhead_fraction});
+}
+
 double pfh_plain_checkpointed(const FtTaskSet& ts,
                               const std::vector<CheckpointScheme>& schemes,
                               CritLevel level) {
-  ts.validate();
-  FTMC_EXPECTS(schemes.size() == ts.size(),
-               "one checkpoint scheme per task required");
-  const Millis t = kMillisPerHour;
-  double pfh = 0.0;
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    if (ts.crit_of(i) != level) continue;
-    const Millis busy = checkpointed_wcet(ts[i], schemes[i]);
-    const double r =
-        std::max(std::floor((t - busy) / ts[i].period) + 1.0, 0.0);
-    pfh += r * checkpointed_job_failure_prob(ts[i].failure_prob,
-                                             schemes[i]);
-  }
-  return pfh;
+  // Eq. (2) reads no trigger; every threshold is a placeholder.
+  const PerTaskProfile no_trigger(ts.size(), 0);
+  return pfh_plain(RoundModel::checkpointing(ts, schemes, no_trigger), level);
 }
 
 std::optional<int> min_retry_budget(const FtTask& task, int segments,

@@ -4,51 +4,47 @@
 
 namespace ftmc::core {
 
-mcs::McTaskSet convert_to_mc(const FtTaskSet& ts, const PerTaskProfile& n,
-                             const PerTaskProfile& n_adapt) {
+mcs::McTaskSet convert_to_mc(const RoundModel& model) {
   // FT -> MC conversions performed; a proxy for profile-search effort
   // (off unless the global registry is enabled).
   static obs::Counter conversions =
       obs::Registry::global().counter("core.conversions");
   conversions.inc();
 
+  const FtTaskSet& ts = model.tasks();
   ts.validate();
-  FTMC_EXPECTS(n.size() == ts.size() && n_adapt.size() == ts.size(),
-               "profile sizes must match task set");
-
   mcs::McTaskSet out;
   for (std::size_t i = 0; i < ts.size(); ++i) {
     const FtTask& src = ts[i];
-    FTMC_EXPECTS(n[i] >= 1, "re-execution profile must be at least 1");
-
     mcs::McTask dst;
     dst.name = src.name;
     dst.period = src.period;
     dst.deadline = src.deadline;
     dst.crit = ts.crit_of(i);
-    if (dst.crit == CritLevel::HI) {
-      // n' == n is allowed and encodes "the mode switch can never fire"
-      // (C(LO) == C(HI)); n' > n would break the Vestal monotonicity
-      // C(LO) <= C(HI) and is rejected.
-      FTMC_EXPECTS(n_adapt[i] >= 0 && n_adapt[i] <= n[i],
-                   "adaptation profile must satisfy 0 <= n' <= n");
-      dst.wcet_hi = static_cast<Millis>(n[i]) * src.wcet;
-      dst.wcet_lo = static_cast<Millis>(n_adapt[i]) * src.wcet;
-    } else {
-      dst.wcet_hi = static_cast<Millis>(n[i]) * src.wcet;
-      dst.wcet_lo = dst.wcet_hi;
-    }
+    dst.wcet_hi = model.wcet_hi(i);
+    dst.wcet_lo = dst.crit == CritLevel::HI ? model.wcet_lo(i) : dst.wcet_hi;
     out.add(std::move(dst));
   }
   out.validate();
   return out;
 }
 
+mcs::McTaskSet convert_to_mc(const FtTaskSet& ts, const PerTaskProfile& n,
+                             const PerTaskProfile& n_adapt) {
+  return convert_to_mc(RoundModel::reexecution(ts, n, n_adapt));
+}
+
 mcs::McTaskSet convert_to_mc(const FtTaskSet& ts, int n_hi, int n_lo,
                              int n_adapt_hi) {
-  const PerTaskProfile n = uniform_profile(ts, n_hi, n_lo);
-  const PerTaskProfile n_adapt = uniform_profile(ts, n_adapt_hi, 0);
-  return convert_to_mc(ts, n, n_adapt);
+  return convert_to_mc(FtMechanism::reexecution(ts, ExecAssumption::kFullWcet)
+                           .at(n_hi, n_lo, n_adapt_hi));
+}
+
+mcs::McTaskSet convert_to_mc_checkpointed(
+    const FtTaskSet& ts, const std::vector<CheckpointScheme>& schemes,
+    const PerTaskProfile& fault_thresholds) {
+  return convert_to_mc(
+      RoundModel::checkpointing(ts, schemes, fault_thresholds));
 }
 
 }  // namespace ftmc::core

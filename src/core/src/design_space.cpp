@@ -53,13 +53,12 @@ DesignPoint evaluate(const FtTaskSet& ts, const DesignSpaceOptions& opt,
   p.segments = segments;
   p.overhead_fraction = segments > 1 ? opt.overhead_fraction : 0.0;
 
+  const AdaptationModel adaptation{kind, df, opt.os_hours};
   if (segments == 1) {
     FtsConfig cfg;
     cfg.test = opt.test;
     cfg.requirements = opt.requirements;
-    cfg.adaptation.kind = kind;
-    cfg.adaptation.degradation_factor = df;
-    cfg.adaptation.os_hours = opt.os_hours;
+    cfg.adaptation = adaptation;
     const FtsResult r = ft_schedule(ts, cfg);
     p.certifiable = r.success;
     if (r.success) {
@@ -73,9 +72,7 @@ DesignPoint evaluate(const FtTaskSet& ts, const DesignSpaceOptions& opt,
     cfg.segments = segments;
     cfg.overhead_fraction = p.overhead_fraction;
     cfg.requirements = opt.requirements;
-    cfg.adaptation.kind = kind;
-    cfg.adaptation.degradation_factor = df;
-    cfg.adaptation.os_hours = opt.os_hours;
+    cfg.adaptation = adaptation;
     const CkptFtsResult r = ft_schedule_checkpointed(ts, cfg);
     p.certifiable = r.success;
     if (r.success) {

@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "ftmc/core/ft_checkpoint.hpp"
 #include "ftmc/mcs/edf.hpp"
 #include "ftmc/mcs/edf_vd.hpp"
 #include "ftmc/mcs/edf_vd_degradation.hpp"
@@ -41,9 +42,9 @@ double umc_closed_form(double u_hi_base, double u_lo_base, int n_hi,
   return 0.0;
 }
 
-namespace {
-
-mcs::SchedulabilityTestPtr default_test(const AdaptationModel& model) {
+mcs::SchedulabilityTestPtr resolve_test(const mcs::SchedulabilityTestPtr& test,
+                                        const AdaptationModel& model) {
+  if (test) return test;
   switch (model.kind) {
     case mcs::AdaptationKind::kNone:
       return std::make_shared<const mcs::EdfWorstCaseTest>();
@@ -57,31 +58,37 @@ mcs::SchedulabilityTestPtr default_test(const AdaptationModel& model) {
   return nullptr;
 }
 
-/// Line 8 of Algorithm 1: n2_HI = sup{ n in [0, n_hi] : Gamma(n_hi, n_lo,
-/// n) schedulable by S }. n == n_hi encodes "no mode switch ever"; values
-/// beyond n_hi are pointless (the trigger cannot fire). Schedulability is
-/// monotone non-increasing in n (Theorem 4.1 proof), so scan from the top.
-std::optional<int> max_schedulable_adaptation(
-    const FtTaskSet& ts, int n_hi, int n_lo, const FtsConfig& cfg,
-    const mcs::SchedulabilityTest& test) {
-  const bool closed_form = cfg.use_closed_form_umc &&
-                           ts.all_implicit_deadlines() &&
-                           cfg.adaptation.kind != mcs::AdaptationKind::kNone;
-  const double u_hi_base = ts.utilization(CritLevel::HI);
-  const double u_lo_base = ts.utilization(CritLevel::LO);
-  for (int n = n_hi; n >= 0; --n) {
-    bool ok;
-    if (closed_form) {
-      ok = umc_closed_form(u_hi_base, u_lo_base, n_hi, n_lo, n,
-                           cfg.adaptation.kind,
-                           cfg.adaptation.degradation_factor) <= 1.0;
-    } else {
-      ok = test.schedulable(convert_to_mc(ts, n_hi, n_lo, n));
-    }
-    if (ok) return n;
+namespace {
+
+/// Algorithm 1 over a mechanism, split where re-execution's no-adaptation
+/// shortcut (Appendix C) cuts in: the constructor runs lines 1-3 (the
+/// budgets), thresholds() lines 4-8. `failure` names the first failure.
+struct Search {
+  Search(FtMechanism& mech, const SafetyRequirements& reqs)
+      : b_hi(min_budget(mech, CritLevel::HI, reqs)),
+        b_lo(b_hi ? min_budget(mech, CritLevel::LO, reqs) : std::nullopt) {
+    if (!b_hi) failure = FtsFailure::kHiSafetyInfeasible;
+    if (b_hi && !b_lo) failure = FtsFailure::kLoSafetyInfeasible;
   }
-  return std::nullopt;
-}
+
+  void thresholds(FtMechanism& mech, const SafetyRequirements& reqs,
+                  const AdaptationModel& model,
+                  const mcs::SchedulabilityTest& test, bool closed_form) {
+    m1 = min_threshold(mech, *b_hi, *b_lo, reqs, model);
+    if (!m1) {
+      failure = FtsFailure::kAdaptationUnsafe;  // line 5-7
+      return;
+    }
+    m2 = max_schedulable_threshold(mech, *b_hi, *b_lo, test, model,
+                                   closed_form);
+    if (!m2 || *m1 > *m2) failure = FtsFailure::kUnschedulable;
+  }
+
+  FtsFailure failure = FtsFailure::kNone;
+  std::optional<int> b_hi, b_lo;  ///< lines 1-3: budget per level
+  std::optional<int> m1;  ///< line 4: minimal safe threshold
+  std::optional<int> m2;  ///< line 8: maximal schedulable threshold
+};
 
 }  // namespace
 
@@ -90,80 +97,95 @@ FtsResult ft_schedule(const FtTaskSet& ts, const FtsConfig& cfg) {
   FtsResult result;
 
   const mcs::SchedulabilityTestPtr test =
-      cfg.test ? cfg.test : default_test(cfg.adaptation);
+      resolve_test(cfg.test, cfg.adaptation);
   result.scheduler_name = test->name();
 
   // --- Algorithm 1, line 1-3: minimal re-execution profiles per level.
-  const auto n_hi_opt =
-      min_reexec_profile(ts, CritLevel::HI, cfg.requirements, cfg.exec);
-  if (!n_hi_opt) {
-    result.failure = FtsFailure::kHiSafetyInfeasible;
-    return result;
-  }
-  const auto n_lo_opt =
-      min_reexec_profile(ts, CritLevel::LO, cfg.requirements, cfg.exec);
-  if (!n_lo_opt) {
-    result.failure = FtsFailure::kLoSafetyInfeasible;
-    return result;
-  }
-  result.n_hi = *n_hi_opt;
-  result.n_lo = *n_lo_opt;
-  const PerTaskProfile n_profile =
-      uniform_profile(ts, result.n_hi, result.n_lo);
-  result.pfh_hi = pfh_plain(ts, n_profile, CritLevel::HI, cfg.exec);
+  FtMechanism mech = FtMechanism::reexecution(ts, cfg.exec);
+  Search s(mech, cfg.requirements);
+  result.failure = s.failure;
+  if (s.failure != FtsFailure::kNone) return result;
+  result.n_hi = *s.b_hi;
+  result.n_lo = *s.b_lo;
+  result.pfh_hi =
+      pfh_plain(mech.at(result.n_hi, result.n_lo, 0), CritLevel::HI);
+  const double u_hi_base = ts.utilization(CritLevel::HI);
+  const double u_lo_base = ts.utilization(CritLevel::LO);
 
   // Optional shortcut (paper Appendix C): keep everything un-adapted if
   // plain worst-case EDF already fits Gamma(n_HI, n_LO, n_HI).
-  {
-    const mcs::EdfWorstCaseTest worst_case;
-    result.feasible_without_adaptation = worst_case.schedulable(
-        convert_to_mc(ts, result.n_hi, result.n_lo, result.n_hi));
-  }
+  result.feasible_without_adaptation =
+      mcs::EdfWorstCaseTest{}.schedulable(
+          convert_to_mc(mech.at(result.n_hi, result.n_lo, result.n_hi)));
   if (cfg.prefer_no_adaptation && result.feasible_without_adaptation) {
     result.success = true;
     result.n_adapt = result.n_hi;  // the mode switch can never fire
-    result.pfh_lo = pfh_plain(ts, n_profile, CritLevel::LO, cfg.exec);
-    result.u_mc = umc_closed_form(ts.utilization(CritLevel::HI),
-                                  ts.utilization(CritLevel::LO), result.n_hi,
+    const RoundModel unadapted =
+        mech.at(result.n_hi, result.n_lo, result.n_hi);
+    result.pfh_lo = pfh_plain(unadapted, CritLevel::LO);
+    result.u_mc = umc_closed_form(u_hi_base, u_lo_base, result.n_hi,
                                   result.n_lo, result.n_hi,
                                   mcs::AdaptationKind::kNone,
                                   cfg.adaptation.degradation_factor);
-    result.converted =
-        convert_to_mc(ts, result.n_hi, result.n_lo, result.n_hi);
+    result.converted = convert_to_mc(unadapted);
     result.scheduler_name = "EDF(worst-case)";
     return result;
   }
 
-  // --- Line 4-7: minimal adaptation profile keeping the LO level safe.
-  result.n1_hi = min_adaptation_profile(ts, result.n_hi, result.n_lo,
-                                        cfg.requirements, cfg.adaptation,
-                                        cfg.exec);
-  if (!result.n1_hi) {
-    result.failure = FtsFailure::kAdaptationUnsafe;
-    return result;
-  }
-
-  // --- Line 8: maximal schedulable adaptation profile.
-  result.n2_hi = max_schedulable_adaptation(ts, result.n_hi, result.n_lo,
-                                            cfg, *test);
-  if (!result.n2_hi || *result.n1_hi > *result.n2_hi) {
-    result.failure = FtsFailure::kUnschedulable;
-    return result;
-  }
+  // --- Line 4-8: minimal safe and maximal schedulable adaptation profile.
+  s.thresholds(mech, cfg.requirements, cfg.adaptation, *test,
+               cfg.use_closed_form_umc);
+  result.failure = s.failure;
+  result.n1_hi = s.m1;
+  result.n2_hi = s.m2;
+  if (s.failure != FtsFailure::kNone) return result;
 
   // --- Line 9-12: success; choose the safest schedulable profile.
   result.success = true;
-  result.n_adapt = *result.n2_hi;
-  result.converted =
-      convert_to_mc(ts, result.n_hi, result.n_lo, result.n_adapt);
-  result.pfh_lo = pfh_lo_under_adaptation(ts, result.n_hi, result.n_lo,
-                                          result.n_adapt, cfg.adaptation,
-                                          cfg.exec);
-  result.u_mc = umc_closed_form(ts.utilization(CritLevel::HI),
-                                ts.utilization(CritLevel::LO), result.n_hi,
+  result.n_adapt = *s.m2;
+  const RoundModel chosen = mech.at(result.n_hi, result.n_lo, result.n_adapt);
+  result.converted = convert_to_mc(chosen);
+  result.pfh_lo = pfh_lo_under_adaptation(chosen, cfg.adaptation);
+  result.u_mc = umc_closed_form(u_hi_base, u_lo_base, result.n_hi,
                                 result.n_lo, result.n_adapt,
                                 cfg.adaptation.kind,
                                 cfg.adaptation.degradation_factor);
+  return result;
+}
+
+CkptFtsResult ft_schedule_checkpointed(const FtTaskSet& ts,
+                                       const CkptFtsConfig& config) {
+  ts.validate();
+  CkptFtsResult result;
+
+  // --- Line 1-3: minimal uniform retry budgets per level.
+  FtMechanism mech = FtMechanism::checkpointing(ts, config.segments,
+                                                config.overhead_fraction);
+  Search s(mech, config.requirements);
+  result.failure = s.failure;
+  if (s.failure != FtsFailure::kNone) return result;
+  result.r_hi = *s.b_hi;
+  result.r_lo = *s.b_lo;
+  result.pfh_hi =
+      pfh_plain(mech.at(result.r_hi, result.r_lo, 0), CritLevel::HI);
+
+  // --- Line 4-8: minimal safe and maximal schedulable fault threshold.
+  const mcs::SchedulabilityTestPtr test =
+      resolve_test(config.test, config.adaptation);
+  s.thresholds(mech, config.requirements, config.adaptation, *test,
+               /*closed_form=*/false);
+  result.failure = s.failure;
+  result.m1 = s.m1;
+  result.m2 = s.m2;
+  if (s.m1) result.scheduler_name = test->name();  // named once line 8 ran
+  if (s.failure != FtsFailure::kNone) return result;
+
+  // --- Line 9-12.
+  result.success = true;
+  result.m_adapt = *s.m2;
+  const RoundModel chosen = mech.at(result.r_hi, result.r_lo, result.m_adapt);
+  result.converted = convert_to_mc(chosen);
+  result.pfh_lo = pfh_lo_under_adaptation(chosen, config.adaptation);
   return result;
 }
 

@@ -56,20 +56,8 @@ HeterogeneousResult optimize_adaptation_profiles(
 
   const PerTaskProfile n = uniform_profile(ts, n_hi, n_lo);
   const auto evaluate = [&](const PerTaskProfile& n_adapt) {
-    switch (model.kind) {
-      case mcs::AdaptationKind::kKilling: {
-        KillingBoundOptions opt;
-        opt.os_hours = model.os_hours;
-        opt.exec = exec;
-        return pfh_lo_killing(ts, n, n_adapt, opt);
-      }
-      case mcs::AdaptationKind::kDegradation:
-        return pfh_lo_degradation(ts, n, n_adapt, model.os_hours, exec);
-      case mcs::AdaptationKind::kNone:
-        return pfh_plain(ts, n, CritLevel::LO, exec);
-    }
-    FTMC_ENSURES(false, "unreachable adaptation kind");
-    return 0.0;
+    return pfh_lo_under_adaptation(
+        RoundModel::reexecution(ts, n, n_adapt, exec), model);
   };
 
   const auto hi_indices = ts.indices_at(CritLevel::HI);

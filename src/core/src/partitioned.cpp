@@ -4,8 +4,6 @@
 #include <numeric>
 
 #include "ftmc/mcs/edf.hpp"
-#include "ftmc/mcs/edf_vd.hpp"
-#include "ftmc/mcs/edf_vd_degradation.hpp"
 
 namespace ftmc::core {
 
@@ -22,24 +20,9 @@ FtTaskSet make_subset(const FtTaskSet& ts,
 
 namespace {
 
-mcs::SchedulabilityTestPtr core_test(const FtsConfig& cfg) {
-  if (cfg.test) return cfg.test;
-  switch (cfg.adaptation.kind) {
-    case mcs::AdaptationKind::kNone:
-      return std::make_shared<const mcs::EdfWorstCaseTest>();
-    case mcs::AdaptationKind::kKilling:
-      return std::make_shared<const mcs::EdfVdTest>();
-    case mcs::AdaptationKind::kDegradation:
-      return std::make_shared<const mcs::EdfVdDegradationTest>(
-          cfg.adaptation.degradation_factor);
-  }
-  FTMC_ENSURES(false, "unreachable adaptation kind");
-  return nullptr;
-}
-
 /// Per-core FT-S with externally fixed (global) re-execution profiles:
-/// choose the maximal schedulable adaptation profile and evaluate this
-/// core's contribution to the system pfh(LO).
+/// choose the maximal schedulable adaptation profile (line 8) and
+/// evaluate this core's contribution to the system pfh(LO).
 FtsResult schedule_core(const FtTaskSet& core_tasks, int n_hi, int n_lo,
                         const FtsConfig& cfg,
                         const mcs::SchedulabilityTest& test) {
@@ -53,43 +36,25 @@ FtsResult schedule_core(const FtTaskSet& core_tasks, int n_hi, int n_lo,
     return r;
   }
 
-  {
-    const mcs::EdfWorstCaseTest worst_case;
-    r.feasible_without_adaptation = worst_case.schedulable(
-        convert_to_mc(core_tasks, n_hi, n_lo, n_hi));
-  }
-  const bool closed_form = cfg.use_closed_form_umc &&
-                           core_tasks.all_implicit_deadlines() &&
-                           cfg.adaptation.kind != mcs::AdaptationKind::kNone;
-  const double u_hi = core_tasks.utilization(CritLevel::HI);
-  const double u_lo = core_tasks.utilization(CritLevel::LO);
-  for (int n = n_hi; n >= 0; --n) {
-    bool ok;
-    if (closed_form) {
-      ok = umc_closed_form(u_hi, u_lo, n_hi, n_lo, n, cfg.adaptation.kind,
-                           cfg.adaptation.degradation_factor) <= 1.0;
-    } else {
-      ok = test.schedulable(convert_to_mc(core_tasks, n_hi, n_lo, n));
-    }
-    if (ok) {
-      r.n2_hi = n;
-      break;
-    }
-  }
+  FtMechanism mech = FtMechanism::reexecution(core_tasks, cfg.exec);
+  r.feasible_without_adaptation = mcs::EdfWorstCaseTest{}.schedulable(
+      convert_to_mc(mech.at(n_hi, n_lo, n_hi)));
+  r.n2_hi = max_schedulable_threshold(mech, n_hi, n_lo, test, cfg.adaptation,
+                                      cfg.use_closed_form_umc);
   if (!r.n2_hi) {
     r.failure = FtsFailure::kUnschedulable;
     return r;
   }
   r.success = true;
   r.n_adapt = *r.n2_hi;
-  r.converted = convert_to_mc(core_tasks, n_hi, n_lo, r.n_adapt);
-  r.u_mc = umc_closed_form(u_hi, u_lo, n_hi, n_lo, r.n_adapt,
-                           cfg.adaptation.kind,
+  const RoundModel chosen = mech.at(n_hi, n_lo, r.n_adapt);
+  r.converted = convert_to_mc(chosen);
+  r.u_mc = umc_closed_form(core_tasks.utilization(CritLevel::HI),
+                           core_tasks.utilization(CritLevel::LO), n_hi, n_lo,
+                           r.n_adapt, cfg.adaptation.kind,
                            cfg.adaptation.degradation_factor);
-  r.pfh_hi = pfh_plain(core_tasks, uniform_profile(core_tasks, n_hi, n_lo),
-                       CritLevel::HI, cfg.exec);
-  r.pfh_lo = pfh_lo_under_adaptation(core_tasks, n_hi, n_lo, r.n_adapt,
-                                     cfg.adaptation, cfg.exec);
+  r.pfh_hi = pfh_plain(chosen, CritLevel::HI);
+  r.pfh_lo = pfh_lo_under_adaptation(chosen, cfg.adaptation);
   return r;
 }
 
@@ -164,7 +129,8 @@ PartitionedResult ft_schedule_partitioned(const FtTaskSet& ts,
   }
 
   // --- Per-core adaptation profiles + system-level safety.
-  const mcs::SchedulabilityTestPtr test = core_test(cfg);
+  const mcs::SchedulabilityTestPtr test =
+      resolve_test(cfg.test, cfg.adaptation);
   result.per_core.reserve(bins.size());
   bool all_cores_ok = true;
   double pfh_lo_total = 0.0;

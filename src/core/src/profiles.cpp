@@ -1,26 +1,45 @@
 #include "ftmc/core/profiles.hpp"
 
-#include <algorithm>
+#include "ftmc/core/conversion.hpp"
+#include "ftmc/core/ft_scheduler.hpp"
 
 namespace ftmc::core {
+
+std::optional<int> min_budget(FtMechanism& mech, CritLevel level,
+                              const SafetyRequirements& reqs) {
+  const FtTaskSet& ts = mech.tasks();
+  ts.validate();
+  const Dal dal = ts.mapping().dal_of(level);
+  if (!reqs.constrains(dal) || ts.count(level) == 0) {
+    return mech.min_budget();  // one attempt, no retry
+  }
+  // Uniform budgets on both levels; Eq. (2) reads only this level's.
+  for (int b = mech.min_budget(); b <= kMaxProfile; ++b) {
+    if (reqs.satisfied(dal, pfh_plain(mech.at(b, b, 0), level))) return b;
+  }
+  return std::nullopt;
+}
 
 std::optional<int> min_reexec_profile(const FtTaskSet& ts, CritLevel level,
                                       const SafetyRequirements& reqs,
                                       ExecAssumption exec) {
-  ts.validate();
-  const Dal dal = ts.mapping().dal_of(level);
-  if (!reqs.constrains(dal)) return 1;
-  if (ts.count(level) == 0) return 1;
+  FtMechanism mech = FtMechanism::reexecution(ts, exec);
+  return min_budget(mech, level, reqs);
+}
 
-  // Uniform per-level profile; the other level's entries are ignored by
-  // pfh_plain, so any placeholder (here: the same n) is fine. One buffer
-  // for the whole scan — refilled, not reallocated, per candidate.
-  PerTaskProfile profile(ts.size(), 0);
-  for (int n = 1; n <= kMaxProfile; ++n) {
-    std::fill(profile.begin(), profile.end(), n);
-    if (reqs.satisfied(dal, pfh_plain(ts, profile, level, exec))) return n;
+double pfh_lo_under_adaptation(const RoundModel& rounds,
+                               const AdaptationModel& model,
+                               double early_exit_above) {
+  switch (model.kind) {
+    case mcs::AdaptationKind::kNone:
+      return pfh_plain(rounds, CritLevel::LO);
+    case mcs::AdaptationKind::kKilling:
+      return pfh_lo_killing(rounds, model.os_hours, early_exit_above);
+    case mcs::AdaptationKind::kDegradation:
+      return pfh_lo_degradation(rounds, model.os_hours);
   }
-  return std::nullopt;
+  FTMC_ENSURES(false, "unreachable adaptation kind");
+  return 0.0;
 }
 
 double pfh_lo_under_adaptation(const FtTaskSet& ts, int n_hi, int n_lo,
@@ -28,9 +47,8 @@ double pfh_lo_under_adaptation(const FtTaskSet& ts, int n_hi, int n_lo,
                                ExecAssumption exec, double early_exit_above) {
   FTMC_EXPECTS(n_hi >= 0 && n_lo >= 0 && n_adapt_hi >= 0,
                "profiles must be non-negative");
-  // Hot inside min_adaptation_profile's n' scan (once per candidate per
-  // task set in every fig3 cell); the two profile buffers are reused
-  // across calls instead of allocated fresh.
+  // Hot in the Fig. 1/2 sweeps; the two profile buffers are reused across
+  // calls instead of allocated fresh.
   thread_local PerTaskProfile n;
   thread_local PerTaskProfile n_adapt;
   n.assign(ts.size(), 0);
@@ -40,21 +58,30 @@ double pfh_lo_under_adaptation(const FtTaskSet& ts, int n_hi, int n_lo,
     n[i] = hi ? n_hi : n_lo;
     n_adapt[i] = hi ? n_adapt_hi : 0;
   }
-  switch (model.kind) {
-    case mcs::AdaptationKind::kNone:
-      return pfh_plain(ts, n, CritLevel::LO, exec);
-    case mcs::AdaptationKind::kKilling: {
-      KillingBoundOptions opt;
-      opt.os_hours = model.os_hours;
-      opt.exec = exec;
-      opt.early_exit_above = early_exit_above;
-      return pfh_lo_killing(ts, n, n_adapt, opt);
-    }
-    case mcs::AdaptationKind::kDegradation:
-      return pfh_lo_degradation(ts, n, n_adapt, model.os_hours, exec);
+  return pfh_lo_under_adaptation(RoundModel::reexecution(ts, n, n_adapt, exec),
+                                 model, early_exit_above);
+}
+
+std::optional<int> min_threshold(FtMechanism& mech, int b_hi, int b_lo,
+                                 const SafetyRequirements& reqs,
+                                 const AdaptationModel& model) {
+  const FtTaskSet& ts = mech.tasks();
+  ts.validate();
+  const Dal lo_dal = ts.mapping().lo;
+  if (!reqs.constrains(lo_dal)) return 0;
+  if (ts.count(CritLevel::LO) == 0) return 0;
+  const double requirement = *reqs.requirement(lo_dal);
+
+  // Scan upward for the infimum. A threshold of never_fires(b_hi) or more
+  // can never trigger, so the scan stops below it. A killing bound stops
+  // summing once it exceeds the requirement: the partial sum already
+  // decides "unsafe".
+  for (int m = 0; m < mech.never_fires(b_hi); ++m) {
+    const double pfh = pfh_lo_under_adaptation(mech.at(b_hi, b_lo, m), model,
+                                               requirement);
+    if (pfh < requirement) return m;
   }
-  FTMC_ENSURES(false, "unreachable adaptation kind");
-  return 0.0;
+  return std::nullopt;
 }
 
 std::optional<int> min_adaptation_profile(const FtTaskSet& ts, int n_hi,
@@ -62,20 +89,28 @@ std::optional<int> min_adaptation_profile(const FtTaskSet& ts, int n_hi,
                                           const SafetyRequirements& reqs,
                                           const AdaptationModel& model,
                                           ExecAssumption exec) {
-  ts.validate();
   FTMC_EXPECTS(n_hi >= 1 && n_lo >= 1, "re-execution profiles must be >= 1");
-  const Dal lo_dal = ts.mapping().lo;
-  if (!reqs.constrains(lo_dal)) return 0;
-  if (ts.count(CritLevel::LO) == 0) return 0;
-  const double requirement = *reqs.requirement(lo_dal);
+  FtMechanism mech = FtMechanism::reexecution(ts, exec);
+  return min_threshold(mech, n_hi, n_lo, reqs, model);
+}
 
-  // pfh(LO) under both Eq. (5) and Eq. (7) is non-increasing in n'
-  // (Sec. 3.3/3.4 discussion), so scan upward for the infimum. n' is
-  // bounded by n_HI - 1 (a profile of n_HI or more can never trigger).
-  for (int n_adapt = 0; n_adapt < n_hi; ++n_adapt) {
-    const double pfh = pfh_lo_under_adaptation(ts, n_hi, n_lo, n_adapt,
-                                               model, exec, requirement);
-    if (pfh < requirement) return n_adapt;
+std::optional<int> max_schedulable_threshold(
+    FtMechanism& mech, int b_hi, int b_lo,
+    const mcs::SchedulabilityTest& test, const AdaptationModel& model,
+    bool closed_form) {
+  const FtTaskSet& ts = mech.tasks();
+  FTMC_EXPECTS(!closed_form || !mech.checkpointed(),
+               "the closed-form U_MC prices re-execution budgets only");
+  const bool by_umc = closed_form && ts.all_implicit_deadlines() &&
+                      model.kind != mcs::AdaptationKind::kNone;
+  const double u_hi_base = ts.utilization(CritLevel::HI);
+  const double u_lo_base = ts.utilization(CritLevel::LO);
+  for (int m = mech.never_fires(b_hi); m >= 0; --m) {
+    const bool ok =
+        by_umc ? umc_closed_form(u_hi_base, u_lo_base, b_hi, b_lo, m,
+                                 model.kind, model.degradation_factor) <= 1.0
+               : test.schedulable(convert_to_mc(mech.at(b_hi, b_lo, m)));
+    if (ok) return m;
   }
   return std::nullopt;
 }

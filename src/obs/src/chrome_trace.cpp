@@ -1,6 +1,7 @@
 #include "ftmc/obs/chrome_trace.hpp"
 
 #include <cmath>
+#include <locale>
 #include <ostream>
 #include <sstream>
 
@@ -11,8 +12,10 @@ namespace {
 
 std::string ts_field(double ts_us) {
   // Perfetto accepts fractional microseconds; keep enough digits for the
-  // nanosecond clock underneath.
+  // nanosecond clock underneath. The classic locale keeps a decimal-comma
+  // global locale from writing "1.234,5", which is not JSON.
   std::ostringstream out;
+  out.imbue(std::locale::classic());
   out.precision(15);
   out << (std::isfinite(ts_us) ? ts_us : 0.0);
   return out.str();

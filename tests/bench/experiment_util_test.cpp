@@ -115,46 +115,26 @@ TEST(BenchOverridesParse, RejectsMissingAndMalformedValues) {
       parse_bench_overrides(bad_threads.argc(), bad_threads.argv()).ok());
 }
 
-TEST(BenchApplyOverrides, CliValuesReachTheConfig) {
-  ScopedEnv no_sets("FTMC_BENCH_SETS", std::nullopt);
-  ScopedEnv no_threads("FTMC_BENCH_THREADS", std::nullopt);
-  Argv argv({"--sets", "7", "--seed", "99", "--threads", "3"});
-  const Expected<Fig3Config> config =
-      apply_cli_overrides(Fig3Config{}, argv.argc(), argv.argv());
-  ASSERT_TRUE(config.ok()) << config.error();
-  EXPECT_EQ(config->sets_per_point, 7);
-  EXPECT_EQ(config->seed, 99u);
-  EXPECT_EQ(config->threads, 3);
-}
-
-TEST(BenchApplyOverrides, EnvironmentWinsOverCli) {
+TEST(BenchOverridesParse, EnvironmentWinsOverCli) {
   // Historical CI contract: FTMC_BENCH_SETS/THREADS override the CLI.
   ScopedEnv sets("FTMC_BENCH_SETS", "11");
   ScopedEnv threads("FTMC_BENCH_THREADS", "2");
   Argv argv({"--sets", "7", "--threads", "5"});
-  const Expected<Fig3Config> config =
-      apply_cli_overrides(Fig3Config{}, argv.argc(), argv.argv());
-  ASSERT_TRUE(config.ok()) << config.error();
-  EXPECT_EQ(config->sets_per_point, 11);
-  EXPECT_EQ(config->threads, 2);
+  const Expected<BenchOverrides> parsed =
+      parse_bench_overrides(argv.argc(), argv.argv());
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  EXPECT_EQ(parsed->sets, 11);
+  EXPECT_EQ(parsed->threads, 2);
 }
 
-TEST(BenchApplyOverrides, MalformedEnvironmentIsAnErrorNotADefault) {
+TEST(BenchOverridesParse, MalformedEnvironmentIsAnErrorNotADefault) {
   ScopedEnv sets("FTMC_BENCH_SETS", "lots");
   ScopedEnv no_threads("FTMC_BENCH_THREADS", std::nullopt);
   Argv argv({});
-  const Expected<Fig3Config> config =
-      apply_cli_overrides(Fig3Config{}, argv.argc(), argv.argv());
-  ASSERT_FALSE(config.ok());
-  EXPECT_NE(config.error().find("FTMC_BENCH_SETS"), std::string::npos);
-}
-
-TEST(BenchApplyOverrides, UnknownFlagPropagatesAsError) {
-  ScopedEnv no_sets("FTMC_BENCH_SETS", std::nullopt);
-  ScopedEnv no_threads("FTMC_BENCH_THREADS", std::nullopt);
-  Argv argv({"--verbose"});
-  EXPECT_FALSE(
-      apply_cli_overrides(Fig3Config{}, argv.argc(), argv.argv()).ok());
+  const Expected<BenchOverrides> parsed =
+      parse_bench_overrides(argv.argc(), argv.argv());
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.error().find("FTMC_BENCH_SETS"), std::string::npos);
 }
 
 }  // namespace

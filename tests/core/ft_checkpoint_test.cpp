@@ -5,6 +5,7 @@
 #include "ftmc/common/contracts.hpp"
 #include "ftmc/core/analysis.hpp"
 #include "ftmc/core/conversion.hpp"
+#include "ftmc/core/round_model.hpp"
 #include "ftmc/mcs/edf_vd.hpp"
 #include "ftmc/prob/safe_math.hpp"
 
@@ -56,44 +57,71 @@ TEST(CkptTriggerProb, MonotoneInThreshold) {
   }
 }
 
+/// The k = 1 checkpointing model of Example 3.1 at retry budgets n - 1
+/// beside the re-execution model at (n_hi, n_lo): the shared bounds must
+/// agree on both up to rounding.
+struct DegenerateModels {
+  DegenerateModels(const FtTaskSet& ts, int n_hi, int n_lo, int m)
+      : schemes(reexec_schemes(ts, n_hi, n_lo)),
+        n(uniform_profile(ts, n_hi, n_lo)),
+        thresholds(uniform_profile(ts, m, 0)),
+        checkpointing(RoundModel::checkpointing(ts, schemes, thresholds)),
+        reexecution(RoundModel::reexecution(ts, n, thresholds)) {}
+
+  std::vector<CheckpointScheme> schemes;
+  PerTaskProfile n;
+  PerTaskProfile thresholds;
+  RoundModel checkpointing;
+  RoundModel reexecution;
+};
+
+TEST(CkptPfhPlain, DegeneratesToEq2) {
+  const FtTaskSet ts = example31(Dal::C, 1e-3);
+  const DegenerateModels models(ts, 3, 2, 2);
+  for (const CritLevel level : {CritLevel::HI, CritLevel::LO}) {
+    const double paper = pfh_plain(models.reexecution, level);
+    EXPECT_NEAR(pfh_plain(models.checkpointing, level), paper,
+                paper * 1e-9);
+    EXPECT_EQ(paper, pfh_plain(ts, models.n, level));
+  }
+}
+
 TEST(CkptSurvival, DegeneratesToLemma32) {
   const FtTaskSet ts = example31();
-  const auto schemes = reexec_schemes(ts, 3, 1);
   for (const double t : {1000.0, 60'000.0, 3.6e6}) {
     for (int m = 1; m <= 2; ++m) {
+      const DegenerateModels models(ts, 3, 1, m);
       const double general =
-          ckpt_survival_no_trigger(ts, schemes, uniform_profile(ts, m, 0),
-                                   t)
-              .linear();
+          survival_no_trigger(models.checkpointing, t).linear();
       const double paper =
-          survival_no_trigger(ts, uniform_profile(ts, m, 0), t).linear();
+          survival_no_trigger(models.reexecution, t).linear();
       EXPECT_NEAR(general, paper, std::abs(paper) * 1e-9 + 1e-15)
           << "t = " << t << " m = " << m;
+      EXPECT_EQ(paper,
+                survival_no_trigger(ts, models.thresholds, t).linear());
     }
   }
 }
 
 TEST(CkptPfhKilling, DegeneratesToEq5) {
   const FtTaskSet ts = example31(Dal::C, 1e-3);
-  const auto schemes = reexec_schemes(ts, 3, 2);
+  const DegenerateModels models(ts, 3, 2, 2);
+  const double paper = pfh_lo_killing(models.reexecution, 0.01);
+  const double general = pfh_lo_killing(models.checkpointing, 0.01);
+  EXPECT_NEAR(general, paper, paper * 1e-9);
   KillingBoundOptions opt;
   opt.os_hours = 0.01;
-  const double paper =
-      pfh_lo_killing(ts, uniform_profile(ts, 3, 2),
-                     uniform_profile(ts, 2, 0), opt);
-  const double general = ckpt_pfh_lo_killing(
-      ts, schemes, uniform_profile(ts, 2, 0), 0.01);
-  EXPECT_NEAR(general, paper, paper * 1e-9);
+  EXPECT_EQ(paper, pfh_lo_killing(ts, models.n, models.thresholds, opt));
 }
 
 TEST(CkptPfhDegradation, DegeneratesToEq7) {
   const FtTaskSet ts = example31(Dal::C, 1e-3);
-  const auto schemes = reexec_schemes(ts, 3, 2);
-  const double paper = pfh_lo_degradation(ts, uniform_profile(ts, 3, 2),
-                                          uniform_profile(ts, 2, 0), 0.01);
-  const double general = ckpt_pfh_lo_degradation(
-      ts, schemes, uniform_profile(ts, 2, 0), 0.01);
+  const DegenerateModels models(ts, 3, 2, 2);
+  const double paper = pfh_lo_degradation(models.reexecution, 0.01);
+  const double general = pfh_lo_degradation(models.checkpointing, 0.01);
   EXPECT_NEAR(general, paper, paper * 1e-9);
+  EXPECT_EQ(paper,
+            pfh_lo_degradation(ts, models.n, models.thresholds, 0.01));
 }
 
 TEST(CkptConversion, DegeneratesToLemma41) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <locale>
 #include <map>
 #include <sstream>
 #include <string>
@@ -12,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "ftmc/io/json.hpp"
 #include "ftmc/obs/chrome_trace.hpp"
 
 namespace ftmc::obs {
@@ -215,6 +217,25 @@ TEST(ChromeHelpers, EscapeHandlesQuotesBackslashesAndControls) {
   EXPECT_EQ(chrome::instant("q\"", 1, 1, 2.5),
             R"({"name":"q\"","cat":"ftmc","ph":"i","s":"t","pid":1,"tid":1,)"
             R"("ts":2.5})");
+}
+
+/// A decimal-comma, dot-grouping numpunct facet: no installed locale is
+/// needed to build a global locale that formats 1234.5 as "1.234,5".
+struct DecimalComma : std::numpunct<char> {
+  char do_decimal_point() const override { return ','; }
+  char do_thousands_sep() const override { return '.'; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+TEST(ChromeHelpers, TimestampsIgnoreTheGlobalLocale) {
+  const std::locale previous = std::locale::global(
+      std::locale(std::locale::classic(), new DecimalComma));
+  const std::string begin = chrome::duration_begin("span", 1, 2, 1234.5);
+  const std::string end = chrome::duration_end(1, 2, 98765.4321);
+  std::locale::global(previous);
+  EXPECT_EQ(io::json::parse(begin).at("ts").as_number(), 1234.5) << begin;
+  EXPECT_EQ(io::json::parse(end).at("ts").as_number(), 98765.4321) << end;
+  EXPECT_EQ(end, R"({"ph":"E","pid":1,"tid":2,"ts":98765.4321})");
 }
 
 TEST(SpanRecorder, LaneLimitDegradesToDroppingNotFailing) {

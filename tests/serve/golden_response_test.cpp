@@ -199,5 +199,24 @@ TEST(ServeGolden, ResponsesMatchRecordedDigestsOnTwoThreads) {
   expect_corpus(2);
 }
 
+TEST(ServeGolden, ContractErrorsNameSourcesRelativeToTheRepository) {
+  // EDF-VD takes implicit deadlines only, so line 8 of FT-S breaks its
+  // contract on this set. The answer quotes the failed check's location;
+  // it must read the same from every checkout.
+  const std::string constrained =
+      R"({"hi_dal":"B","lo_dal":"D","tasks":[)"
+      R"({"name":"h","period_ms":100,"deadline_ms":90,"wcet_ms":25,)"
+      R"("dal":"B","failure_prob":1e-5},)"
+      R"({"name":"l","period_ms":100,"wcet_ms":40,"dal":"D",)"
+      R"("failure_prob":1e-5}]})";
+  Server server(ServerOptions{});
+  const std::string response = server.handle(
+      analyze({query("fts", "edf_vd_killing", constrained)}));
+  EXPECT_NE(response.find("at src/mcs/src/edf_vd.cpp:"), std::string::npos)
+      << response;
+  EXPECT_EQ(response.find(FTMC_TEST_SOURCE_DIR), std::string::npos)
+      << response;
+}
+
 }  // namespace
 }  // namespace ftmc::serve
