@@ -249,26 +249,6 @@ void print_summary(const campaign::CampaignResult& result) {
   }
 }
 
-[[nodiscard]] std::vector<std::string> argv_vector(int argc, char** argv) {
-  return std::vector<std::string>(argv, argv + argc);
-}
-
-[[nodiscard]] fleet::CoordinatorOptions coordinator_options(
-    const CliOptions& opt) {
-  fleet::CoordinatorOptions options;
-  options.dir = opt.dir;
-  options.lease_cells = static_cast<std::size_t>(opt.lease_cells);
-  options.lease_ttl_ms = opt.lease_ttl_ms;
-  return options;
-}
-
-[[nodiscard]] fleet::ServiceOptions service_options(const CliOptions& opt) {
-  fleet::ServiceOptions options;
-  options.net.port = static_cast<std::uint16_t>(opt.port);
-  options.linger_ms = opt.linger_ms;
-  return options;
-}
-
 /// Spawns one worker process speaking to 127.0.0.1:port; the child
 /// re-execs this binary's `worker` command, so coordinator and workers
 /// provably run the same code. Returns -1 on fork failure.
@@ -285,22 +265,6 @@ void print_summary(const campaign::CampaignResult& result) {
   // exec only returns on failure; _exit keeps the child out of the
   // parent's atexit/stream state.
   _exit(127);
-}
-
-int cmd_coordinate(const CliOptions& opt, int argc, char** argv) {
-  obs::Registry::global().enable();
-  fleet::CoordinatorService service(campaign::load_spec_file(opt.spec_path),
-                                    coordinator_options(opt),
-                                    service_options(opt));
-  std::cout << "listening on 127.0.0.1:" << service.port() << std::endl;
-  if (!opt.port_file.empty()) {
-    campaign::write_file_atomic(opt.port_file,
-                                std::to_string(service.port()) + "\n");
-  }
-  const campaign::CampaignResult result = service.serve();
-  service.write_bench_report(argv_vector(argc, argv));
-  print_summary(result);
-  return result.complete ? 0 : 3;
 }
 
 int cmd_worker(const CliOptions& opt) {
@@ -332,11 +296,26 @@ int cmd_worker(const CliOptions& opt) {
   return 0;
 }
 
-int cmd_run_fleet(const CliOptions& opt, int argc, char** argv) {
+/// `coordinate` (workers connect on their own) and `run --fleet N` (N
+/// forked local workers): one coordinator either way.
+int cmd_fleet(const CliOptions& opt, int argc, char** argv) {
   obs::Registry::global().enable();
+  fleet::CoordinatorOptions coordinator;
+  coordinator.dir = opt.dir;
+  coordinator.lease_cells = static_cast<std::size_t>(opt.lease_cells);
+  coordinator.lease_ttl_ms = opt.lease_ttl_ms;
+  fleet::ServiceOptions listener;
+  listener.net.port = static_cast<std::uint16_t>(opt.port);
+  listener.linger_ms = opt.linger_ms;
   fleet::CoordinatorService service(campaign::load_spec_file(opt.spec_path),
-                                    coordinator_options(opt),
-                                    service_options(opt));
+                                    coordinator, listener);
+  if (opt.fleet == 0) {
+    std::cout << "listening on 127.0.0.1:" << service.port() << std::endl;
+    if (!opt.port_file.empty()) {
+      campaign::write_file_atomic(opt.port_file,
+                                  std::to_string(service.port()) + "\n");
+    }
+  }
 
   std::vector<pid_t> workers;
   for (int k = 0; k < opt.fleet; ++k) {
@@ -351,7 +330,7 @@ int cmd_run_fleet(const CliOptions& opt, int argc, char** argv) {
 
   const campaign::CampaignResult result = service.serve();
 
-  bool workers_ok = !workers.empty();
+  bool workers_ok = workers.size() == static_cast<std::size_t>(opt.fleet);
   for (const pid_t pid : workers) {
     int status = 0;
     if (waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
@@ -361,7 +340,7 @@ int cmd_run_fleet(const CliOptions& opt, int argc, char** argv) {
   }
   if (!workers_ok) std::cerr << "ftmc_campaign: worker failure\n";
 
-  service.write_bench_report(argv_vector(argc, argv));
+  service.write_bench_report(std::vector<std::string>(argv, argv + argc));
   print_summary(result);
   if (!result.complete) return 3;
   return workers_ok ? 0 : 1;
@@ -448,10 +427,9 @@ int main(int argc, char** argv) {
   try {
     if (opt.command == "expand") return cmd_expand(opt);
     if (opt.command == "print") return cmd_print(opt);
-    if (opt.command == "coordinate") return cmd_coordinate(opt, argc, argv);
     if (opt.command == "worker") return cmd_worker(opt);
-    if (opt.command == "run" && opt.fleet > 0) {
-      return cmd_run_fleet(opt, argc, argv);
+    if (opt.command == "coordinate" || opt.fleet > 0) {
+      return cmd_fleet(opt, argc, argv);
     }
     return cmd_run_or_resume(opt);
   } catch (const io::ParseError& e) {

@@ -31,6 +31,8 @@
 #include <string_view>
 #include <vector>
 
+#include "ftmc/io/json.hpp"
+
 namespace ftmc::campaign {
 
 /// One journal line: the cell's cache key plus its result counts.
@@ -46,6 +48,8 @@ struct CellRecord {
 [[nodiscard]] std::string record_to_json(const CellRecord& record);
 /// Throws ftmc::io::ParseError on malformed lines.
 [[nodiscard]] CellRecord record_from_json(std::string_view line);
+/// The same from a parsed object (one record of a fleet result message).
+[[nodiscard]] CellRecord record_from_json(const io::json::Value& doc);
 
 /// Atomically replaces `path` with `content` (tmp + rename, see file
 /// comment). Throws std::runtime_error when the filesystem says no.
@@ -54,9 +58,9 @@ void write_file_atomic(const std::string& path, std::string_view content);
 /// Reads a whole file; throws std::runtime_error if unreadable.
 [[nodiscard]] std::string read_file(const std::string& path);
 
-/// The append-only journal. Thread-safe: the runner appends from pool
-/// workers as cells finish, in completion order (order is irrelevant —
-/// records are keyed by content hash).
+/// The append-only journal. Thread-safe: the campaign ledger appends
+/// from pool workers as cells finish, in completion order (order is
+/// irrelevant — records are keyed by content hash).
 class Journal {
  public:
   /// Opens `path` for appending, creating it if missing. If the file
@@ -68,8 +72,6 @@ class Journal {
 
   /// Appends one record and flushes it to the OS before returning.
   void append(const CellRecord& record);
-
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
   /// Result of replaying a journal file.
   struct LoadResult {

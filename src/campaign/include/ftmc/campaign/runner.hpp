@@ -1,37 +1,26 @@
 /// \file runner.hpp
-/// \brief The campaign runner: expands a spec into cells, shards them
-///        across the ftmc::exec thread pool, journals every completed
-///        cell, and merges results deterministically.
+/// \brief The in-process campaign front end: opens a campaign ledger
+///        (ledger.hpp), computes its pending cells on the ftmc::exec
+///        thread pool, folds each into the ledger, and finishes it.
 ///
 /// Guarantees (tested in tests/campaign/runner_test.cpp):
 ///  - *Determinism*: cell results are a pure function of the cell spec
 ///    (seeds derive from the spec grid, never from thread count or
 ///    execution order), so results.json is byte-identical across thread
-///    counts and across interrupted-then-resumed runs.
-///  - *Crash safety*: completed cells survive any crash via the
-///    append-only journal (journal.hpp); resume skips them.
-///  - *Caching*: cells are keyed by the FNV-1a hash of their canonical
-///    JSON. Editing one axis of a spec re-runs only cells whose
-///    canonical form changed; everything else is a cache hit replayed
-///    from the journal.
+///    counts, across interrupted-then-resumed runs, and to a fleet run.
+///  - *Crash safety and caching* come from the ledger: completed cells
+///    survive any crash in the journal, and a resume, or a run over an
+///    edited spec, replays every cell whose content hash is journaled.
 ///
-/// Directory layout of a persistent run (`RunnerOptions::dir`):
-///   <dir>/spec.json      canonical spec echo (atomic write)
-///   <dir>/journal.jsonl  append-only completed-cell records
-///   <dir>/results.json   deterministic merged results (atomic write,
-///                        only written once every cell has a result)
-///
-/// Observability: the runner feeds obs::Registry::global() —
-/// campaign.cells_total / campaign.cells_run / campaign.cache_hits /
-/// campaign.journal_bad_lines — records one span per cell when the
-/// parallel region carries a SpanRecorder, and reports progress over the
-/// cells it actually runs.
+/// Observability: the ledger feeds the campaign.* counters; the runner
+/// records one span per computed cell when the parallel region carries
+/// a SpanRecorder, and reports progress over the cells it computes.
 #pragma once
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
+#include "ftmc/campaign/ledger.hpp"
 #include "ftmc/campaign/spec.hpp"
 #include "ftmc/exec/stats.hpp"
 #include "ftmc/obs/progress.hpp"
@@ -54,41 +43,6 @@ struct RunnerOptions {
   obs::ProgressFn progress;        ///< over newly computed cells
   exec::RunStats* stats = nullptr; ///< phase "campaign"
   obs::SpanRecorder* spans = nullptr;  ///< one span per cell
-};
-
-/// Outcome counts of one cell (numerators of the acceptance ratios; the
-/// denominator is the cell's sets_per_point).
-struct CellCounts {
-  int accept_without = 0;
-  int accept_with = 0;
-};
-
-/// One merged cell outcome.
-struct CellOutcome {
-  CellSpec cell;
-  std::string hash;
-  bool completed = false;   ///< false only after a max_cells stop
-  bool from_cache = false;  ///< replayed from the journal, not computed
-  CellCounts counts;
-
-  [[nodiscard]] double ratio_without() const {
-    return static_cast<double>(counts.accept_without) /
-           cell.sets_per_point;
-  }
-  [[nodiscard]] double ratio_with() const {
-    return static_cast<double>(counts.accept_with) / cell.sets_per_point;
-  }
-};
-
-/// A whole campaign's outcome, cells in expansion order.
-struct CampaignResult {
-  CampaignSpec spec;
-  std::vector<CellOutcome> cells;
-  std::size_t cells_total = 0;
-  std::size_t cells_run = 0;    ///< computed this invocation
-  std::size_t cache_hits = 0;   ///< replayed from the journal
-  bool complete = false;        ///< every cell has a result
-  std::string results_path;     ///< <dir>/results.json, empty in-memory
 };
 
 /// Concrete SchedulabilityTest instance for a scheduler. The EDF-VD
@@ -120,19 +74,5 @@ struct CampaignResult {
 /// dir from `options` is ignored and replaced by `dir`).
 [[nodiscard]] CampaignResult resume_campaign(const std::string& dir,
                                              RunnerOptions options);
-
-/// Deterministic merged-results document: spec echo plus one entry per
-/// cell. Contains no timestamps, hostnames or timings — equal inputs
-/// give equal bytes (the resume bit-identity contract).
-[[nodiscard]] std::string results_to_json(const CampaignResult& result);
-
-/// Canonical journal form: one CellRecord line per completed cell, in
-/// expansion order. During a run the on-disk journal appends in
-/// completion order (crash safety first); once a campaign completes,
-/// the runner — and the fleet coordinator — atomically replace
-/// journal.jsonl with this form, so the finished journal is
-/// byte-identical no matter how many threads, processes or fleet
-/// workers computed it, or in which order their leases landed.
-[[nodiscard]] std::string canonical_journal(const CampaignResult& result);
 
 }  // namespace ftmc::campaign

@@ -12,8 +12,6 @@
 #include <cstring>
 #endif
 
-#include "ftmc/io/json.hpp"
-
 namespace ftmc::campaign {
 
 std::string record_to_json(const CellRecord& record) {
@@ -25,14 +23,17 @@ std::string record_to_json(const CellRecord& record) {
 }
 
 CellRecord record_from_json(std::string_view line) {
-  const io::json::Value doc = io::json::parse(line);
+  return record_from_json(io::json::parse(line));
+}
+
+CellRecord record_from_json(const io::json::Value& doc) {
   CellRecord record;
   record.hash = doc.at("hash").as_string();
   record.accept_without =
       static_cast<int>(doc.at("accept_without").as_uint64());
   record.accept_with = static_cast<int>(doc.at("accept_with").as_uint64());
   if (record.hash.size() != 16) {
-    throw io::ParseError("journal: bad hash \"" + record.hash + "\"");
+    throw io::ParseError("cell record: bad hash \"" + record.hash + "\"");
   }
   return record;
 }

@@ -1,20 +1,14 @@
 #include "ftmc/campaign/runner.hpp"
 
-#include <filesystem>
 #include <memory>
-#include <optional>
 
-#include "ftmc/campaign/cache.hpp"
-#include "ftmc/campaign/journal.hpp"
 #include "ftmc/core/ft_scheduler.hpp"
 #include "ftmc/exec/parallel.hpp"
-#include "ftmc/io/json.hpp"
 #include "ftmc/mcs/edf_vd.hpp"
 #include "ftmc/mcs/edf_vd_degradation.hpp"
 #include "ftmc/mcs/fixed_priority.hpp"
 #include "ftmc/mcs/mc_dbf.hpp"
 #include "ftmc/mcs/opa.hpp"
-#include "ftmc/obs/registry.hpp"
 #include "ftmc/taskgen/generator.hpp"
 
 namespace ftmc::campaign {
@@ -61,21 +55,6 @@ namespace {
   return params;
 }
 
-struct CampaignMetrics {
-  obs::Counter cells_total;
-  obs::Counter cells_run;
-  obs::Counter cache_hits;
-  obs::Counter journal_bad_lines;
-
-  static CampaignMetrics global() {
-    obs::Registry& reg = obs::Registry::global();
-    return {reg.counter("campaign.cells_total"),
-            reg.counter("campaign.cells_run"),
-            reg.counter("campaign.cache_hits"),
-            reg.counter("campaign.journal_bad_lines")};
-  }
-};
-
 }  // namespace
 
 CellCounts run_cell(const CellSpec& cell) {
@@ -103,60 +82,12 @@ CellCounts run_cell(const CellSpec& cell) {
 
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const RunnerOptions& options) {
-  spec.validate();
-  CampaignMetrics metrics = CampaignMetrics::global();
-
-  CampaignResult result;
-  result.spec = spec;
-
-  const std::vector<CellSpec> cells = expand_cells(spec);
-  result.cells_total = cells.size();
-  metrics.cells_total.inc(cells.size());
-
-  // Persistent mode: materialize the directory, echo the canonical spec
-  // atomically, and replay the journal into the result cache.
-  std::optional<Journal> journal;
-  HashCache<CellCounts> cache;
-  if (!options.dir.empty()) {
-    std::filesystem::create_directories(options.dir);
-    write_file_atomic(options.dir + "/spec.json",
-                      spec_to_json(spec) + "\n");
-    const std::string journal_path = options.dir + "/journal.jsonl";
-    Journal::LoadResult replay = Journal::load(journal_path);
-    metrics.journal_bad_lines.inc(replay.bad_lines);
-    for (CellRecord& record : replay.records) {
-      // Later records win over earlier ones with the same hash; equal
-      // hashes imply equal counts, so insert-only is equivalent.
-      cache.insert(record.hash,
-                   CellCounts{record.accept_without, record.accept_with});
-    }
-    journal.emplace(journal_path);
-  }
-
-  // Split into cached and pending cells. Outcomes live in expansion
-  // order; pending cells are computed into their slots by index.
-  result.cells.resize(cells.size());
-  std::vector<std::size_t> pending;
-  for (const CellSpec& cell : cells) {
-    CellOutcome& outcome = result.cells[cell.index];
-    outcome.cell = cell;
-    outcome.hash = cell_hash(cell);
-    if (const auto hit = cache.lookup(outcome.hash)) {
-      outcome.counts = *hit;
-      outcome.completed = true;
-      outcome.from_cache = true;
-      ++result.cache_hits;
-    } else {
-      pending.push_back(cell.index);
-    }
-  }
-  metrics.cache_hits.inc(result.cache_hits);
-
+  Ledger ledger(spec, options.dir);
+  std::vector<std::size_t> pending = ledger.pending();
   // A max_cells stop simulates a crash at a cell boundary: the dropped
   // tail simply never runs, so the journal stays consistent.
-  std::size_t to_run = pending.size();
-  if (options.max_cells > 0 && options.max_cells < to_run) {
-    to_run = options.max_cells;
+  if (options.max_cells > 0 && options.max_cells < pending.size()) {
+    pending.resize(options.max_cells);
   }
 
   exec::ParallelOptions par;
@@ -166,35 +97,24 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   par.stats = options.stats;
   par.spans = options.spans;
   par.progress = options.progress;
-  exec::parallel_for(to_run, par, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      CellOutcome& outcome = result.cells[pending[i]];
-      {
-        obs::ScopedSpan span("campaign.cell");
-        outcome.counts = run_cell(outcome.cell);
-      }
-      outcome.completed = true;
-      metrics.cells_run.inc();
-      if (journal) {
-        journal->append(CellRecord{outcome.hash,
-                                   outcome.counts.accept_without,
-                                   outcome.counts.accept_with});
-      }
-    }
-  });
-  result.cells_run = to_run;
-  result.complete = (to_run == pending.size());
-
-  if (result.complete && !options.dir.empty()) {
-    // Rewrite the journal in canonical (expansion) order before the
-    // results: the finished directory is then byte-identical across
-    // thread counts, resumes and fleet worker interleavings.
-    write_file_atomic(options.dir + "/journal.jsonl",
-                      canonical_journal(result));
-    result.results_path = options.dir + "/results.json";
-    write_file_atomic(result.results_path, results_to_json(result) + "\n");
-  }
-  return result;
+  exec::parallel_for(
+      pending.size(), par, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const CellSpec& cell = ledger.cell(pending[i]);
+          CellCounts counts;
+          {
+            obs::ScopedSpan span("campaign.cell");
+            counts = run_cell(cell);
+          }
+          // Built as a fleet worker builds it, so the ledger checks the
+          // hash of every record it folds, whichever front end sent it.
+          (void)ledger.fold(cell.index,
+                            CellRecord{cell_hash(cell), counts.accept_without,
+                                       counts.accept_with});
+        }
+      });
+  ledger.finish();
+  return ledger.result();
 }
 
 CampaignResult resume_campaign(const std::string& dir,
@@ -202,45 +122,6 @@ CampaignResult resume_campaign(const std::string& dir,
   const CampaignSpec spec = load_spec_file(dir + "/spec.json");
   options.dir = dir;
   return run_campaign(spec, options);
-}
-
-std::string canonical_journal(const CampaignResult& result) {
-  std::string out;
-  for (const CellOutcome& outcome : result.cells) {
-    if (!outcome.completed) continue;
-    out += record_to_json(CellRecord{outcome.hash,
-                                     outcome.counts.accept_without,
-                                     outcome.counts.accept_with});
-    out += '\n';
-  }
-  return out;
-}
-
-std::string results_to_json(const CampaignResult& result) {
-  std::vector<std::string> cells;
-  cells.reserve(result.cells.size());
-  for (const CellOutcome& outcome : result.cells) {
-    if (!outcome.completed) continue;
-    cells.push_back(
-        io::json::Object{}
-            .add_string("hash", outcome.hash)
-            .add_string("scheduler", to_string(outcome.cell.scheduler))
-            .add_number("failure_prob", outcome.cell.failure_prob)
-            .add_number("utilization", outcome.cell.utilization)
-            .add_string("seed", std::to_string(outcome.cell.seed))
-            .add_int("accept_without", outcome.counts.accept_without)
-            .add_int("accept_with", outcome.counts.accept_with)
-            .add_number("ratio_without", outcome.ratio_without())
-            .add_number("ratio_with", outcome.ratio_with())
-            .str());
-  }
-  // No timestamps, hostnames or wall times: byte-identity across
-  // uninterrupted, resumed and re-cached runs is a tested contract.
-  return io::json::Object{}
-      .add_raw("spec", spec_to_json(result.spec))
-      .add_int("cells_total", static_cast<long long>(result.cells_total))
-      .add_raw("cells", io::json::array(cells))
-      .str();
 }
 
 }  // namespace ftmc::campaign

@@ -10,6 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+
+#include "ftmc/common/contracts.hpp"
 
 namespace ftmc {
 
@@ -39,8 +42,23 @@ inline constexpr Tick kNever = INT64_MAX;
 
 /// Converts analysis milliseconds to simulator ticks (rounding to nearest;
 /// task tables use integral or sub-microsecond-exact values in practice).
-constexpr Tick millis_to_ticks(Millis ms) noexcept {
-  return static_cast<Tick>(ms * static_cast<double>(kTicksPerMilli) + 0.5);
+/// The one double-to-tick conversion, and it is checked: empty for NaN,
+/// infinities, negative values and anything at or above 2^63 ticks, where
+/// a bare cast would be undefined behaviour.
+[[nodiscard]] constexpr std::optional<Tick> try_millis_to_ticks(
+    Millis ms) noexcept {
+  const double ticks = ms * static_cast<double>(kTicksPerMilli);
+  if (!(ticks >= 0.0 && ticks < 0x1p63)) return std::nullopt;  // NaN too
+  return static_cast<Tick>(ticks + 0.5);
+}
+
+/// try_millis_to_ticks for times the caller trusts; throws
+/// ftmc::ContractViolation when `ms` is out of range.
+constexpr Tick millis_to_ticks(Millis ms) {
+  const std::optional<Tick> ticks = try_millis_to_ticks(ms);
+  FTMC_EXPECTS(ticks.has_value(),
+               "time outside the simulator's tick range [0, 2^63) us");
+  return *ticks;
 }
 
 /// Converts simulator ticks back to analysis milliseconds.

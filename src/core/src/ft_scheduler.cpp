@@ -158,6 +158,10 @@ CkptFtsResult ft_schedule_checkpointed(const FtTaskSet& ts,
   ts.validate();
   CkptFtsResult result;
 
+  const mcs::SchedulabilityTestPtr test =
+      resolve_test(config.test, config.adaptation);
+  result.scheduler_name = test->name();
+
   // --- Line 1-3: minimal uniform retry budgets per level.
   FtMechanism mech = FtMechanism::checkpointing(ts, config.segments,
                                                 config.overhead_fraction);
@@ -170,14 +174,11 @@ CkptFtsResult ft_schedule_checkpointed(const FtTaskSet& ts,
       pfh_plain(mech.at(result.r_hi, result.r_lo, 0), CritLevel::HI);
 
   // --- Line 4-8: minimal safe and maximal schedulable fault threshold.
-  const mcs::SchedulabilityTestPtr test =
-      resolve_test(config.test, config.adaptation);
   s.thresholds(mech, config.requirements, config.adaptation, *test,
                /*closed_form=*/false);
   result.failure = s.failure;
   result.m1 = s.m1;
   result.m2 = s.m2;
-  if (s.m1) result.scheduler_name = test->name();  // named once line 8 ran
   if (s.failure != FtsFailure::kNone) return result;
 
   // --- Line 9-12.

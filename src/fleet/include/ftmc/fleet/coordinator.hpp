@@ -1,7 +1,7 @@
 /// \file coordinator.hpp
-/// \brief The fleet coordinator: owns one campaign, hands out cell
-///        leases to workers, folds their results idempotently, and
-///        finalizes the campaign directory in canonical form.
+/// \brief The fleet coordinator: hands out cell leases to workers and
+///        folds their results into the campaign ledger
+///        (ftmc/campaign/ledger.hpp), which owns the campaign directory.
 ///
 /// The coordinator is a transport-free request/response engine, exactly
 /// like serve::Server: handle() maps one ftmc-fleet-v1 request document
@@ -24,12 +24,11 @@
 /// late delivery is harmless by construction; whoever lands second just
 /// scores duplicates.
 ///
-/// Determinism: the on-disk journal appends in arrival order (crash
-/// safety), but completion atomically rewrites it via
-/// campaign::canonical_journal and writes results.json — both
-/// byte-identical to a single-process run_campaign of the same spec,
-/// for any worker count and any lease interleaving. That is the tested
-/// headline invariant of the fleet subsystem.
+/// Determinism: the ledger finishes the directory canonically, so
+/// journal.jsonl and results.json are byte-identical to a single-process
+/// run_campaign of the same spec, for any worker count and any lease
+/// interleaving. That is the tested headline invariant of the fleet
+/// subsystem.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +41,7 @@
 #include <string>
 #include <string_view>
 
-#include "ftmc/campaign/journal.hpp"
-#include "ftmc/campaign/runner.hpp"
+#include "ftmc/campaign/ledger.hpp"
 #include "ftmc/campaign/spec.hpp"
 #include "ftmc/fleet/protocol.hpp"
 #include "ftmc/obs/registry.hpp"
@@ -90,27 +88,21 @@ struct FleetMetrics {
 /// TCP layer may call it from any number of connection threads.
 class Coordinator {
  public:
-  /// Validates the spec, expands the grid, echoes spec.json and replays
-  /// the journal when `options.dir` is set (same resume semantics as
-  /// campaign::run_campaign). Throws ftmc::io::ParseError on invalid
-  /// specs and std::runtime_error on filesystem failures.
+  /// Opens the campaign ledger over `options.dir` (same resume
+  /// semantics as campaign::run_campaign). Throws ftmc::io::ParseError
+  /// on invalid specs and std::runtime_error on filesystem failures.
   Coordinator(campaign::CampaignSpec spec, CoordinatorOptions options);
 
   /// One ftmc-fleet-v1 request in, one response out. Never throws on bad
   /// input — malformed or unknown requests get {"type":"error",...}.
   [[nodiscard]] std::string handle(std::string_view payload);
 
-  /// True once every cell has a result (files are already finalized).
+  /// True once every cell has a result (the ledger has finished).
   [[nodiscard]] bool complete() const;
   /// Clock reading at the moment the campaign completed.
   [[nodiscard]] std::optional<std::int64_t> completed_at_ms() const;
   /// Workers that said hello and have not yet said bye.
   [[nodiscard]] std::size_t active_workers() const;
-
-  [[nodiscard]] std::size_t cells_total() const { return cells_.size(); }
-  [[nodiscard]] std::size_t cells_completed() const;
-  /// Cells replayed from the journal at construction.
-  [[nodiscard]] std::size_t cache_hits() const { return cache_hits_; }
 
   /// The merged campaign outcome (valid once complete() is true; the
   /// same value a single-process run_campaign would return).
@@ -132,26 +124,19 @@ class Coordinator {
 
   /// Returns the cells of every overdue lease to the pending queue.
   void expire_leases();
-  /// Folds one record; returns "accepted", "duplicate" or "rejected".
-  [[nodiscard]] std::string_view fold_record(const ResultRecord& record);
-  /// Rewrites the journal canonically and writes results.json (once).
-  void finalize();
+  /// Finishes the ledger, once, when every cell has a result.
+  void finish_if_complete();
 
-  campaign::CampaignSpec spec_;
   CoordinatorOptions options_;
+  campaign::Ledger ledger_;
   FleetMetrics metrics_ = FleetMetrics::global();
 
   mutable std::mutex mu_;
-  std::vector<campaign::CellOutcome> cells_;  ///< expansion order
-  std::deque<std::size_t> pending_;           ///< not completed, not leased
+  std::deque<std::size_t> pending_;  ///< without a result, not leased
   std::map<std::uint64_t, Lease> leases_;
   std::uint64_t next_lease_id_ = 1;
-  std::size_t completed_ = 0;
-  std::size_t cache_hits_ = 0;
   std::set<std::string> active_workers_;
-  std::optional<campaign::Journal> journal_;
   std::optional<std::int64_t> completed_at_ms_;
-  bool finalized_ = false;
 };
 
 }  // namespace ftmc::fleet

@@ -43,7 +43,6 @@ class CoordinatorService {
   [[nodiscard]] std::uint16_t port() const noexcept {
     return server_.port();
   }
-  [[nodiscard]] Coordinator& coordinator() noexcept { return coordinator_; }
 
   /// Runs the accept loop until the stop condition holds (see file
   /// comment). Returns the merged campaign outcome.

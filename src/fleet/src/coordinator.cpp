@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <utility>
 
 #include "ftmc/io/json.hpp"
@@ -32,45 +31,10 @@ FleetMetrics FleetMetrics::global() {
 
 Coordinator::Coordinator(campaign::CampaignSpec spec,
                          CoordinatorOptions options)
-    : spec_(std::move(spec)), options_(std::move(options)) {
-  spec_.validate();
-  const std::vector<campaign::CellSpec> cells = campaign::expand_cells(spec_);
-
-  campaign::HashCache<campaign::CellCounts> cache;
-  if (!options_.dir.empty()) {
-    std::filesystem::create_directories(options_.dir);
-    campaign::write_file_atomic(options_.dir + "/spec.json",
-                                campaign::spec_to_json(spec_) + "\n");
-    const std::string journal_path = options_.dir + "/journal.jsonl";
-    campaign::Journal::LoadResult replay =
-        campaign::Journal::load(journal_path);
-    for (campaign::CellRecord& record : replay.records) {
-      cache.insert(record.hash, campaign::CellCounts{record.accept_without,
-                                                     record.accept_with});
-    }
-    journal_.emplace(journal_path);
-  }
-
-  cells_.resize(cells.size());
-  for (const campaign::CellSpec& cell : cells) {
-    campaign::CellOutcome& outcome = cells_[cell.index];
-    outcome.cell = cell;
-    outcome.hash = campaign::cell_hash(cell);
-    if (const auto hit = cache.lookup(outcome.hash)) {
-      outcome.counts = *hit;
-      outcome.completed = true;
-      outcome.from_cache = true;
-      ++completed_;
-      ++cache_hits_;
-    } else {
-      pending_.push_back(cell.index);
-    }
-  }
-
-  if (completed_ == cells_.size()) {
-    completed_at_ms_ = options_.now_ms();
-    finalize();
-  }
+    : options_(std::move(options)), ledger_(std::move(spec), options_.dir) {
+  const std::vector<std::size_t> pending = ledger_.pending();
+  pending_.assign(pending.begin(), pending.end());
+  finish_if_complete();
 }
 
 std::string Coordinator::handle(std::string_view payload) {
@@ -111,16 +75,16 @@ std::string Coordinator::do_hello(const io::json::Value& request) {
   return io::json::Object{}
       .add_string("type", "welcome")
       .add_string("protocol", kProtocolVersion)
-      .add_raw("spec", campaign::spec_to_json(spec_))
-      .add_int("cells_total", static_cast<long long>(cells_.size()))
+      .add_raw("spec", campaign::spec_to_json(ledger_.spec()))
+      .add_int("cells_total", static_cast<long long>(ledger_.cells_total()))
       .add_int("lease_cells", static_cast<long long>(options_.lease_cells))
-      .add_bool("complete", completed_ == cells_.size())
+      .add_bool("complete", ledger_.complete())
       .str();
 }
 
 std::string Coordinator::do_lease(const io::json::Value& request) {
   const std::string& worker = request.at("worker").as_string();
-  if (completed_ == cells_.size()) {
+  if (ledger_.complete()) {
     return io::json::Object{}
         .add_string("type", "done")
         .add_bool("complete", true)
@@ -170,10 +134,20 @@ std::string Coordinator::do_result(const io::json::Value& request) {
   std::size_t duplicates = 0;
   std::size_t rejected = 0;
   for (const ResultRecord& record : records) {
-    const std::string_view verdict = fold_record(record);
-    if (verdict == "accepted") ++accepted;
-    else if (verdict == "duplicate") ++duplicates;
-    else ++rejected;
+    switch (ledger_.fold(record.index, record.record)) {
+      case campaign::FoldVerdict::kAccepted:
+        ++accepted;
+        metrics_.records_accepted.inc();
+        break;
+      case campaign::FoldVerdict::kDuplicate:
+        ++duplicates;
+        metrics_.records_duplicate.inc();
+        break;
+      case campaign::FoldVerdict::kRejected:
+        ++rejected;
+        metrics_.records_rejected.inc();
+        break;
+    }
   }
 
   // Retire the lease. Indices the records did not cover (a worker that
@@ -182,15 +156,12 @@ std::string Coordinator::do_result(const io::json::Value& request) {
   const std::uint64_t lease_id = request.at("lease_id").as_uint64();
   if (const auto it = leases_.find(lease_id); it != leases_.end()) {
     for (const std::size_t index : it->second.indices) {
-      if (!cells_[index].completed) pending_.push_back(index);
+      if (!ledger_.completed(index)) pending_.push_back(index);
     }
     leases_.erase(it);
   }
 
-  if (completed_ == cells_.size() && !completed_at_ms_) {
-    completed_at_ms_ = options_.now_ms();
-    finalize();
-  }
+  finish_if_complete();
   metrics_.merge_latency_us.observe(
       std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
           std::chrono::steady_clock::now() - start)
@@ -200,7 +171,7 @@ std::string Coordinator::do_result(const io::json::Value& request) {
       .add_int("accepted", static_cast<long long>(accepted))
       .add_int("duplicates", static_cast<long long>(duplicates))
       .add_int("rejected", static_cast<long long>(rejected))
-      .add_bool("complete", completed_ == cells_.size())
+      .add_bool("complete", ledger_.complete())
       .str();
 }
 
@@ -224,7 +195,7 @@ std::string Coordinator::do_bye(const io::json::Value& request) {
   }
   return io::json::Object{}
       .add_string("type", "goodbye")
-      .add_bool("complete", completed_ == cells_.size())
+      .add_bool("complete", ledger_.complete())
       .str();
 }
 
@@ -232,7 +203,7 @@ std::string Coordinator::error_response(std::string_view message) const {
   return io::json::Object{}
       .add_string("type", "error")
       .add_string("error", message)
-      .add_bool("complete", completed_ == cells_.size())
+      .add_bool("complete", ledger_.complete())
       .str();
 }
 
@@ -245,7 +216,7 @@ void Coordinator::expire_leases() {
     }
     metrics_.leases_expired.inc();
     for (const std::size_t index : it->second.indices) {
-      if (!cells_[index].completed) {
+      if (!ledger_.completed(index)) {
         // Front of the queue: reissued cells should not wait behind the
         // whole remaining grid a second time.
         pending_.push_front(index);
@@ -256,57 +227,15 @@ void Coordinator::expire_leases() {
   }
 }
 
-std::string_view Coordinator::fold_record(const ResultRecord& record) {
-  if (record.index >= cells_.size()) {
-    metrics_.records_rejected.inc();
-    return "rejected";
-  }
-  campaign::CellOutcome& outcome = cells_[record.index];
-  if (record.record.hash != outcome.hash) {
-    // The worker expanded a different grid than we did — version skew or
-    // a corrupted message. Never merge it.
-    metrics_.records_rejected.inc();
-    return "rejected";
-  }
-  if (outcome.completed) {
-    metrics_.records_duplicate.inc();
-    return "duplicate";
-  }
-  outcome.counts = campaign::CellCounts{record.record.accept_without,
-                                        record.record.accept_with};
-  outcome.completed = true;
-  ++completed_;
-  metrics_.records_accepted.inc();
-  if (journal_) journal_->append(record.record);
-  return "accepted";
-}
-
-void Coordinator::finalize() {
-  if (finalized_ || options_.dir.empty()) {
-    finalized_ = true;
-    return;
-  }
-  finalized_ = true;
-  const campaign::CampaignResult merged = [this] {
-    campaign::CampaignResult r;
-    r.spec = spec_;
-    r.cells = cells_;
-    r.cells_total = cells_.size();
-    r.cells_run = completed_ - cache_hits_;
-    r.cache_hits = cache_hits_;
-    r.complete = true;
-    r.results_path = options_.dir + "/results.json";
-    return r;
-  }();
-  campaign::write_file_atomic(options_.dir + "/journal.jsonl",
-                              campaign::canonical_journal(merged));
-  campaign::write_file_atomic(merged.results_path,
-                              campaign::results_to_json(merged) + "\n");
+void Coordinator::finish_if_complete() {
+  if (completed_at_ms_ || !ledger_.complete()) return;
+  completed_at_ms_ = options_.now_ms();
+  ledger_.finish();
 }
 
 bool Coordinator::complete() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return completed_ == cells_.size();
+  return completed_at_ms_.has_value();
 }
 
 std::optional<std::int64_t> Coordinator::completed_at_ms() const {
@@ -319,24 +248,8 @@ std::size_t Coordinator::active_workers() const {
   return active_workers_.size();
 }
 
-std::size_t Coordinator::cells_completed() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return completed_;
-}
-
 campaign::CampaignResult Coordinator::result() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  campaign::CampaignResult r;
-  r.spec = spec_;
-  r.cells = cells_;
-  r.cells_total = cells_.size();
-  r.cells_run = completed_ - cache_hits_;
-  r.cache_hits = cache_hits_;
-  r.complete = completed_ == cells_.size();
-  if (r.complete && !options_.dir.empty()) {
-    r.results_path = options_.dir + "/results.json";
-  }
-  return r;
+  return ledger_.result();
 }
 
 }  // namespace ftmc::fleet

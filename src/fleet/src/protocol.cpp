@@ -57,18 +57,9 @@ std::vector<ResultRecord> parse_result_records(
   const io::json::Value& array = request.at("records");
   records.reserve(array.items().size());
   for (const io::json::Value& item : array.items()) {
-    ResultRecord r;
-    r.index = static_cast<std::size_t>(item.at("index").as_uint64());
-    r.record.hash = item.at("hash").as_string();
-    r.record.accept_without =
-        static_cast<int>(item.at("accept_without").as_uint64());
-    r.record.accept_with =
-        static_cast<int>(item.at("accept_with").as_uint64());
-    if (r.record.hash.size() != 16) {
-      throw io::ParseError("fleet result: bad hash \"" + r.record.hash +
-                           "\"");
-    }
-    records.push_back(std::move(r));
+    records.push_back(
+        ResultRecord{static_cast<std::size_t>(item.at("index").as_uint64()),
+                     campaign::record_from_json(item)});
   }
   return records;
 }

@@ -1,12 +1,37 @@
 #include "ftmc/sim/model.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <numeric>
+#include <optional>
+#include <string>
 
 #include "ftmc/common/contracts.hpp"
 
 namespace ftmc::sim {
+
+namespace {
+
+/// `v` in shortest round-trip form (std::to_chars: no locale).
+[[nodiscard]] std::string shortest(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/// `ms` in ticks, with an error naming the task and the field: task
+/// parameters may come from hostile input (a serve admit query), where
+/// any finite positive time parses.
+[[nodiscard]] Tick task_ticks(const core::FtTask& task, const char* field,
+                              Millis ms) {
+  const std::optional<Tick> ticks = try_millis_to_ticks(ms);
+  FTMC_EXPECTS(ticks.has_value(),
+               "task '" + task.name + "': " + field + " " + shortest(ms) +
+                   " ms is outside the simulator's tick range [0, 2^63) us");
+  return *ticks;
+}
+
+}  // namespace
 
 std::vector<SimTask> build_sim_tasks(const core::FtTaskSet& ts,
                                      const core::PerTaskProfile& n,
@@ -26,9 +51,9 @@ std::vector<SimTask> build_sim_tasks(const core::FtTaskSet& ts,
     FTMC_EXPECTS(n[i] >= 1, "re-execution profile must be at least 1");
     SimTask dst;
     dst.name = src.name;
-    dst.period = millis_to_ticks(src.period);
-    dst.deadline = millis_to_ticks(src.deadline);
-    dst.wcet = millis_to_ticks(src.wcet);
+    dst.period = task_ticks(src, "period", src.period);
+    dst.deadline = task_ticks(src, "deadline", src.deadline);
+    dst.wcet = task_ticks(src, "WCET", src.wcet);
     dst.crit = ts.crit_of(i);
     dst.max_attempts = n[i];
     dst.adapt_threshold =
@@ -38,7 +63,8 @@ std::vector<SimTask> build_sim_tasks(const core::FtTaskSet& ts,
     dst.failure_prob = src.failure_prob;
     dst.virtual_deadline =
         dst.crit == CritLevel::HI
-            ? millis_to_ticks(src.deadline * virtual_deadline_factor)
+            ? task_ticks(src, "virtual deadline",
+                         src.deadline * virtual_deadline_factor)
             : dst.deadline;
     out.push_back(std::move(dst));
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace ftmc {
 namespace {
 
@@ -23,6 +25,18 @@ TEST(Time, TickConversionRoundsToNearest) {
   // 0.0004 ms = 0.4 us rounds down; 0.0006 ms = 0.6 us rounds up.
   EXPECT_EQ(sim::millis_to_ticks(0.0004), 0);
   EXPECT_EQ(sim::millis_to_ticks(0.0006), 1);
+}
+
+TEST(Time, TickConversionRefusesValuesOutsideTheTickRange) {
+  // A bare cast of any of these to int64 is undefined behaviour.
+  EXPECT_FALSE(sim::try_millis_to_ticks(std::nan("")).has_value());
+  EXPECT_FALSE(sim::try_millis_to_ticks(HUGE_VAL).has_value());
+  EXPECT_FALSE(sim::try_millis_to_ticks(-HUGE_VAL).has_value());
+  EXPECT_FALSE(sim::try_millis_to_ticks(-0.001).has_value());
+  EXPECT_FALSE(sim::try_millis_to_ticks(0x1p63 / 1000.0).has_value());
+  EXPECT_FALSE(sim::try_millis_to_ticks(1e300).has_value());
+  EXPECT_EQ(sim::try_millis_to_ticks(9.2e15), 9'200'000'000'000'000'000);
+  EXPECT_THROW((void)sim::millis_to_ticks(1e300), ContractViolation);
 }
 
 TEST(Time, HourInTicks) {

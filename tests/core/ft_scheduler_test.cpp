@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "ftmc/core/ft_checkpoint.hpp"
 #include "ftmc/mcs/edf_vd.hpp"
 #include "ftmc/mcs/fixed_priority.hpp"
 
@@ -178,6 +179,16 @@ TEST(FtSchedule, ImpossibleSafetyFailsEarly) {
   const FtsResult r = ft_schedule(ts, killing_config());
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.failure, FtsFailure::kHiSafetyInfeasible);
+  EXPECT_EQ(r.scheduler_name, "EDF-VD");
+
+  // Checkpointed FT-S fails at the same line and names S all the same.
+  CkptFtsConfig ckpt;
+  ckpt.segments = 2;
+  ckpt.adaptation = killing_config().adaptation;
+  const CkptFtsResult c = ft_schedule_checkpointed(ts, ckpt);
+  EXPECT_FALSE(c.success);
+  EXPECT_EQ(c.failure, FtsFailure::kHiSafetyInfeasible);
+  EXPECT_EQ(c.scheduler_name, "EDF-VD");
 }
 
 TEST(FtSchedule, CustomSchedulerViaInterface) {

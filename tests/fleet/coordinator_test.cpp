@@ -25,6 +25,7 @@
 #include "ftmc/campaign/spec.hpp"
 #include "ftmc/fleet/protocol.hpp"
 #include "ftmc/io/json.hpp"
+#include "ftmc/obs/registry.hpp"
 
 namespace ftmc::fleet {
 namespace {
@@ -226,7 +227,7 @@ TEST(Coordinator, WrongHashIsRejectedAndNotMerged) {
       coordinator, result_to_json("w0", lease->first, records));
   EXPECT_EQ(ack.at("rejected").as_uint64(), 1u);
   EXPECT_EQ(ack.at("accepted").as_uint64(), 0u);
-  EXPECT_EQ(coordinator.cells_completed(), 0u);
+  EXPECT_EQ(coordinator.result().cells_run, 0u);
   // The rejected cell goes back to pending (at the back of the queue)
   // rather than waiting for the lease TTL: draining the grid re-covers
   // it.
@@ -316,8 +317,21 @@ TEST(Coordinator, ResumesFromTruncatedJournal) {
     torn << "{\"hash\":\"feedfeedfeedfe";  // crash mid-append
   }
 
+  // The restart replays through the campaign ledger, so it counts the
+  // torn line and the journaled cells exactly as a runner resume does.
+  obs::Registry& registry = obs::Registry::global();
+  const bool was_enabled = registry.is_enabled();
+  registry.enable(true);
+  const obs::Counter bad_lines =
+      registry.counter("campaign.journal_bad_lines");
+  const obs::Counter cache_hits = registry.counter("campaign.cache_hits");
+  const std::uint64_t bad0 = bad_lines.value();
+  const std::uint64_t hit0 = cache_hits.value();
   Coordinator resumed(spec, options_with(clock, dir, 2));
-  EXPECT_EQ(resumed.cache_hits(), 2u);
+  EXPECT_EQ(bad_lines.value() - bad0, 1u);
+  EXPECT_EQ(cache_hits.value() - hit0, 2u);
+  registry.enable(was_enabled);
+  EXPECT_EQ(resumed.result().cache_hits, 2u);
   while (const auto lease = take_lease(resumed, "w1")) {
     (void)call(resumed, result_to_json("w1", lease->first,
                                        records_for(cells,
@@ -342,7 +356,7 @@ TEST(Coordinator, FullyJournaledCampaignIsCompleteAtConstruction) {
 
   Coordinator coordinator(spec, options_with(clock, dir));
   EXPECT_TRUE(coordinator.complete());
-  EXPECT_EQ(coordinator.cache_hits(), 4u);
+  EXPECT_EQ(coordinator.result().cache_hits, 4u);
   const io::json::Value welcome =
       call(coordinator, hello_to_json("w0"));
   EXPECT_TRUE(welcome.at("complete").as_bool());

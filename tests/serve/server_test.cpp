@@ -338,6 +338,31 @@ TEST(Server, AdmitQueryValidatesItsProfile) {
   EXPECT_FALSE(doc.at("results").items()[0].at("ok").as_bool());
 }
 
+TEST(Server, AdmitQueryNamesATaskOutsideTheTickRange) {
+  Server server;
+  // 1e300 ms is a finite positive period, so the task set parses, but it
+  // lies far beyond the simulator's 2^63-tick range: converting it with a
+  // bare cast would be undefined behaviour.
+  const std::string task_set = R"({"hi_dal":"B","lo_dal":"D","tasks":[
+      {"name":"ctl","period_ms":100,"wcet_ms":5,"dal":"B",
+       "failure_prob":1e-5},
+      {"name":"big","period_ms":1e300,"wcet_ms":1,"dal":"D",
+       "failure_prob":1e-5}]})";
+  const std::string query = io::json::Object{}
+                                .add_string("query", "admit")
+                                .add_int("n_hi", 2)
+                                .add_int("n_lo", 1)
+                                .add_int("n_adapt", 1)
+                                .add_raw("task_set", task_set)
+                                .str();
+  const auto doc = io::json::parse(server.handle(analyze_request({query})));
+  const auto& result = doc.at("results").items()[0];
+  EXPECT_FALSE(result.at("ok").as_bool());
+  const std::string error = result.at("error").as_string();
+  EXPECT_NE(error.find("task 'big': period 1e+300 ms"), std::string::npos)
+      << error;
+}
+
 TEST(Server, ExposeAnswersPrometheusText) {
   Server server;
   const auto doc = io::json::parse(server.handle("{\"type\":\"expose\"}"));

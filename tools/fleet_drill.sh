@@ -12,7 +12,11 @@
 #      must exit 0, and journal.jsonl + results.json must be
 #      byte-identical to the control run;
 #   3. fleet smoke: `run --fleet 4` (four forked local workers) must
-#      reproduce the same bytes again.
+#      reproduce the same bytes again;
+#   4. hand-off: a campaign started in process (`run --max-cells 3`),
+#      torn mid-append, and finished by `run --fleet 2` must reproduce
+#      the same bytes, and the coordinator's BENCH_fleet.json must count
+#      the torn line and the three journaled cells.
 #
 # Usage: tools/fleet_drill.sh [path/to/ftmc_campaign] [workdir]
 set -euo pipefail
@@ -95,6 +99,28 @@ FTMC_BENCH_DIR="$WORK/fleet4-bench" "$BIN" run --spec "$WORK/spec.json" \
   > "$WORK/fleet4.log" 2>&1
 cmp "$WORK/control/journal.jsonl" "$WORK/fleet4/journal.jsonl"
 cmp "$WORK/control/results.json" "$WORK/fleet4/results.json"
+
+echo "== hand-off: run --max-cells 3, torn journal, finish with --fleet 2"
+code=0
+"$BIN" run --spec "$WORK/spec.json" --out "$WORK/handoff" --threads 1 \
+  --max-cells 3 > "$WORK/handoff-run.log" 2>&1 || code=$?
+test "$code" -eq 3  # clean stop before completion
+printf '{"hash":"feedfeedfe' >> "$WORK/handoff/journal.jsonl"
+mkdir -p "$WORK/handoff-bench"
+FTMC_BENCH_DIR="$WORK/handoff-bench" "$BIN" run --spec "$WORK/spec.json" \
+  --out "$WORK/handoff" --threads 1 --fleet 2 --lease-cells 2 \
+  > "$WORK/handoff-fleet.log" 2>&1
+cmp "$WORK/control/journal.jsonl" "$WORK/handoff/journal.jsonl"
+cmp "$WORK/control/results.json" "$WORK/handoff/results.json"
+python3 - "$WORK/handoff-bench/BENCH_fleet.json" <<'EOF'
+import json, sys
+counters = json.load(open(sys.argv[1]))["metrics"]["counters"]
+bad = counters.get("campaign.journal_bad_lines")
+hits = counters.get("campaign.cache_hits")
+assert bad == 1, f"the torn line must be counted once, got {bad}"
+assert hits == 3, f"the 3 journaled cells must be cache hits, got {hits}"
+print(f"hand-off telemetry: journal_bad_lines={bad} cache_hits={hits}")
+EOF
 
 # The atomic-write path must leave no staging files behind anywhere.
 test -z "$(find "$WORK" -name '*.tmp')"
