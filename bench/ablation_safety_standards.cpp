@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
         cfg.adaptation.degradation_factor = 6.0;
         cfg.adaptation.os_hours = 1.0;
         cfg.prefer_no_adaptation = true;
-        if (core::ft_schedule(ts, cfg).success) ++accepted;
+        if (core::ft_verdict(ts, cfg).success) ++accepted;
       }
       row.push_back(io::Table::num(static_cast<double>(accepted) / sets, 3));
     }

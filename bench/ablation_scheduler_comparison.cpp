@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
         cfg.adaptation.os_hours = 1.0;
         cfg.test = entry.test;
         cfg.use_closed_form_umc = false;  // exercise S itself
-        if (core::ft_schedule(ts, cfg).success) ++accepted;
+        if (core::ft_verdict(ts, cfg).success) ++accepted;
       }
       row.push_back(io::Table::num(static_cast<double>(accepted) / sets, 3));
     }

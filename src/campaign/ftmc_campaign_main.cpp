@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -290,9 +291,15 @@ int cmd_worker(const CliOptions& opt) {
   options.poll_ms = opt.poll_ms;
   options.throttle_ms = opt.throttle_ms;
   const fleet::WorkerReport report = fleet::run_worker(options);
-  std::cerr << "worker " << options.name << ": " << report.cells_computed
-            << " cells over " << report.leases << " leases in "
-            << report.wall_seconds << " s\n";
+  // One write(2) for the whole line: `run --fleet N` forks N workers onto
+  // one stderr, and a line written piece by piece interleaves with theirs.
+  std::ostringstream line;
+  line << "worker " << options.name << ": " << report.cells_computed
+       << " cells over " << report.leases << " leases in "
+       << report.wall_seconds << " s\n";
+  const std::string text = line.str();
+  [[maybe_unused]] const ssize_t written =
+      ::write(STDERR_FILENO, text.data(), text.size());
   return 0;
 }
 

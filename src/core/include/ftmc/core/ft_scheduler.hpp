@@ -61,8 +61,10 @@ struct FtsConfig {
   ExecAssumption exec = ExecAssumption::kFullWcet;
 };
 
-/// Outcome of FT-S.
-struct FtsResult {
+/// The verdict of FT-S: what Algorithm 1 lines 1-8 and the Appendix C
+/// shortcut decide, and nothing they do not need. An acceptance count
+/// (a campaign cell, the fig3 and ablation benches) reads only this.
+struct FtsVerdict {
   bool success = false;
   FtsFailure failure = FtsFailure::kNone;
 
@@ -76,17 +78,24 @@ struct FtsResult {
   /// means "the mode switch can never fire" (no adaptation needed).
   int n_adapt = 0;
 
+  /// True iff plain worst-case EDF already fits (no mode switch needed).
+  bool feasible_without_adaptation = false;
+  std::string scheduler_name;
+};
+
+/// Outcome of FT-S: the verdict plus its report at the chosen profiles.
+/// The report costs more than the verdict: under killing, pfh_lo is a
+/// full Eq. (5) sum (tens of thousands of points per set), where the
+/// line-4 search stops each sum as soon as it exceeds the requirement.
+struct FtsResult : FtsVerdict {
   /// Achieved PFH bounds at the chosen profiles.
   double pfh_hi = 0.0;
   double pfh_lo = 0.0;
 
   /// U_MC of the chosen configuration (meaningful for the EDF-VD family).
   double u_mc = 0.0;
-  /// True iff plain worst-case EDF already fits (no mode switch needed).
-  bool feasible_without_adaptation = false;
   /// The converted task set Gamma(n_HI, n_LO, n'_HI) actually scheduled.
   mcs::McTaskSet converted;
-  std::string scheduler_name;
 };
 
 /// The technique S an FT-S run schedules with: `test` if given, else the
@@ -96,9 +105,19 @@ struct FtsResult {
 [[nodiscard]] mcs::SchedulabilityTestPtr resolve_test(
     const mcs::SchedulabilityTestPtr& test, const AdaptationModel& model);
 
-/// Runs FT-S (Theorem 4.1: if success, both safety and schedulability are
-/// guaranteed). The checkpointed FT-S (ft_checkpoint.hpp) runs the same
-/// Algorithm 1 over a checkpointing FtMechanism.
+/// Runs FT-S and returns its verdict only (Theorem 4.1: if success, both
+/// safety and schedulability are guaranteed). For callers that count
+/// verdicts: campaign cells (local, fleet workers, the fig3 benches) and
+/// the ablation benches. It skips every bound ft_schedule reports.
+[[nodiscard]] FtsVerdict ft_verdict(const FtTaskSet& ts,
+                                    const FtsConfig& config);
+
+/// Runs FT-S and reports the chosen configuration: ft_verdict's fields,
+/// plus the PFH bounds, U_MC and converted set at the chosen profiles. For
+/// callers that read the bounds: serve, the certification report, the
+/// design-space exploration and the examples. The checkpointed FT-S
+/// (ft_checkpoint.hpp) runs the same Algorithm 1 over a checkpointing
+/// FtMechanism.
 [[nodiscard]] FtsResult ft_schedule(const FtTaskSet& ts,
                                     const FtsConfig& config);
 

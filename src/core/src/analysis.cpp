@@ -104,8 +104,13 @@ KillingWorkspace& killing_workspace() {
 }
 
 /// Points per batch: bounds workspace memory and the wasted tail work
-/// when early_exit_above triggers mid-chunk.
+/// when early_exit_above triggers mid-chunk. Each LO task's sum starts
+/// with kKillingFirstChunk points and doubles its chunk up to
+/// kKillingChunk, so a sum that exits after a few points (the line-4
+/// search's usual case) builds a few dozen, while a full sum runs almost
+/// all its points in full-size batches.
 constexpr std::size_t kKillingChunk = 4096;
+constexpr std::size_t kKillingFirstChunk = 32;
 
 }  // namespace
 
@@ -148,13 +153,14 @@ double pfh_lo_killing(const RoundModel& model, double os_hours,
     const double r_i = round_count(ts[i].period, round.busy, t);
     double m = r_i - 1.0;  // first ascending point; the final point is t
     bool tail_emitted = false;
-    while (!tail_emitted) {
+    for (std::size_t chunk = kKillingFirstChunk; !tail_emitted;
+         chunk = std::min(2 * chunk, kKillingChunk)) {
       std::size_t count = 0;
-      for (; count < kKillingChunk && m >= 1.0; ++count, m -= 1.0) {
+      for (; count < chunk && m >= 1.0; ++count, m -= 1.0) {
         ws.alpha[count] =
             t - round.busy - m * ts[i].period + ts[i].deadline;
       }
-      if (count < kKillingChunk) {
+      if (count < chunk) {
         ws.alpha[count++] = t;
         tail_emitted = true;
       }

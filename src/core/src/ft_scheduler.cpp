@@ -90,66 +90,82 @@ struct Search {
   std::optional<int> m2;  ///< line 8: maximal schedulable threshold
 };
 
-}  // namespace
-
-FtsResult ft_schedule(const FtTaskSet& ts, const FtsConfig& cfg) {
+/// Algorithm 1 lines 1-8 with re-execution's no-adaptation shortcut
+/// (Appendix C), over the caller's mechanism so that ft_schedule's report
+/// reads the same one.
+FtsVerdict verdict(const FtTaskSet& ts, const FtsConfig& cfg,
+                   FtMechanism& mech) {
   ts.validate();
-  FtsResult result;
+  FtsVerdict v;
 
   const mcs::SchedulabilityTestPtr test =
       resolve_test(cfg.test, cfg.adaptation);
-  result.scheduler_name = test->name();
+  v.scheduler_name = test->name();
 
   // --- Algorithm 1, line 1-3: minimal re-execution profiles per level.
-  FtMechanism mech = FtMechanism::reexecution(ts, cfg.exec);
   Search s(mech, cfg.requirements);
-  result.failure = s.failure;
-  if (s.failure != FtsFailure::kNone) return result;
-  result.n_hi = *s.b_hi;
-  result.n_lo = *s.b_lo;
-  result.pfh_hi =
-      pfh_plain(mech.at(result.n_hi, result.n_lo, 0), CritLevel::HI);
-  const double u_hi_base = ts.utilization(CritLevel::HI);
-  const double u_lo_base = ts.utilization(CritLevel::LO);
+  v.failure = s.failure;
+  if (s.failure != FtsFailure::kNone) return v;
+  v.n_hi = *s.b_hi;
+  v.n_lo = *s.b_lo;
 
   // Optional shortcut (paper Appendix C): keep everything un-adapted if
   // plain worst-case EDF already fits Gamma(n_HI, n_LO, n_HI).
-  result.feasible_without_adaptation =
-      mcs::EdfWorstCaseTest{}.schedulable(
-          convert_to_mc(mech.at(result.n_hi, result.n_lo, result.n_hi)));
-  if (cfg.prefer_no_adaptation && result.feasible_without_adaptation) {
-    result.success = true;
-    result.n_adapt = result.n_hi;  // the mode switch can never fire
-    const RoundModel unadapted =
-        mech.at(result.n_hi, result.n_lo, result.n_hi);
-    result.pfh_lo = pfh_plain(unadapted, CritLevel::LO);
-    result.u_mc = umc_closed_form(u_hi_base, u_lo_base, result.n_hi,
-                                  result.n_lo, result.n_hi,
-                                  mcs::AdaptationKind::kNone,
-                                  cfg.adaptation.degradation_factor);
-    result.converted = convert_to_mc(unadapted);
-    result.scheduler_name = "EDF(worst-case)";
-    return result;
+  v.feasible_without_adaptation = mcs::EdfWorstCaseTest{}.schedulable(
+      convert_to_mc(mech.at(v.n_hi, v.n_lo, v.n_hi)));
+  if (cfg.prefer_no_adaptation && v.feasible_without_adaptation) {
+    v.success = true;
+    v.n_adapt = v.n_hi;  // the mode switch can never fire
+    v.scheduler_name = "EDF(worst-case)";
+    return v;
   }
 
   // --- Line 4-8: minimal safe and maximal schedulable adaptation profile.
   s.thresholds(mech, cfg.requirements, cfg.adaptation, *test,
                cfg.use_closed_form_umc);
-  result.failure = s.failure;
-  result.n1_hi = s.m1;
-  result.n2_hi = s.m2;
-  if (s.failure != FtsFailure::kNone) return result;
+  v.failure = s.failure;
+  v.n1_hi = s.m1;
+  v.n2_hi = s.m2;
+  if (s.failure != FtsFailure::kNone) return v;
 
   // --- Line 9-12: success; choose the safest schedulable profile.
-  result.success = true;
-  result.n_adapt = *s.m2;
+  v.success = true;
+  v.n_adapt = *s.m2;
+  return v;
+}
+
+}  // namespace
+
+FtsVerdict ft_verdict(const FtTaskSet& ts, const FtsConfig& cfg) {
+  FtMechanism mech = FtMechanism::reexecution(ts, cfg.exec);
+  return verdict(ts, cfg, mech);
+}
+
+FtsResult ft_schedule(const FtTaskSet& ts, const FtsConfig& cfg) {
+  FtMechanism mech = FtMechanism::reexecution(ts, cfg.exec);
+  FtsResult result;
+  static_cast<FtsVerdict&>(result) = verdict(ts, cfg, mech);
+  if (result.failure == FtsFailure::kHiSafetyInfeasible ||
+      result.failure == FtsFailure::kLoSafetyInfeasible) {
+    return result;  // lines 1-3 chose no profile to report on
+  }
+  result.pfh_hi =
+      pfh_plain(mech.at(result.n_hi, result.n_lo, 0), CritLevel::HI);
+  if (!result.success) return result;
+
+  // The shortcut schedules un-adapted: the mode switch never fires, so
+  // the plain bound and worst-case utilization describe it.
+  AdaptationModel adaptation = cfg.adaptation;
+  if (cfg.prefer_no_adaptation && result.feasible_without_adaptation) {
+    adaptation.kind = mcs::AdaptationKind::kNone;
+  }
   const RoundModel chosen = mech.at(result.n_hi, result.n_lo, result.n_adapt);
   result.converted = convert_to_mc(chosen);
-  result.pfh_lo = pfh_lo_under_adaptation(chosen, cfg.adaptation);
-  result.u_mc = umc_closed_form(u_hi_base, u_lo_base, result.n_hi,
-                                result.n_lo, result.n_adapt,
-                                cfg.adaptation.kind,
-                                cfg.adaptation.degradation_factor);
+  result.pfh_lo = pfh_lo_under_adaptation(chosen, adaptation);
+  result.u_mc = umc_closed_form(ts.utilization(CritLevel::HI),
+                                ts.utilization(CritLevel::LO), result.n_hi,
+                                result.n_lo, result.n_adapt, adaptation.kind,
+                                adaptation.degradation_factor);
   return result;
 }
 

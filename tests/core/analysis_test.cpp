@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "ftmc/common/contracts.hpp"
+#include "ftmc/core/analysis_reference.hpp"
 
 namespace ftmc::core {
 namespace {
@@ -277,6 +282,93 @@ TEST(PfhKilling, EarlyExitReturnsValueAboveThreshold) {
   const double partial =
       pfh_lo_killing(ts, n, uniform_profile(ts, 1, 0), opt);
   EXPECT_GT(partial, 1e-6);  // proves the requirement is violated
+}
+
+/// A LO task whose pi_i(t) holds exactly `count` points over one hour at a
+/// single execution (n = 1).
+FtTask lo_task_with_points(const std::string& name, std::size_t count,
+                           Millis wcet) {
+  const Millis t = hours_to_millis(1.0);
+  return make(name, (t - wcet) / (static_cast<double>(count) - 0.5), wcet,
+              Dal::C, 1e-3);
+}
+
+/// Where the killing bound's chunks end within one LO task's points: the
+/// first chunk holds 32 points, and each next one twice as many up to
+/// 4096 (analysis.cpp).
+constexpr std::size_t kChunkEdges[] = {32,  96,   224,  480,
+                                       992, 2016, 4064, 8160};
+
+TEST(PfhKilling, EarlyExitMatchesReferenceOnEveryChunkEdge) {
+  // Every point's term is at least f = 1e-3, so the running sum grows at
+  // every point; the first LO task is long enough for every chunk size.
+  constexpr std::size_t kFirst = 8200;
+  constexpr std::size_t kSecond = 100;
+  const FtTaskSet ts({make("h1", 500, 20, Dal::B, 1e-3),
+                      make("h2", 730, 30, Dal::B, 2e-3),
+                      lo_task_with_points("l1", kFirst, 10),
+                      lo_task_with_points("l2", kSecond, 15)},
+                     {Dal::B, Dal::C});
+  const PerTaskProfile n = uniform_profile(ts, 2, 1);
+  const PerTaskProfile na = uniform_profile(ts, 1, 0);
+  KillingBoundOptions opt;
+  opt.os_hours = 1.0;
+
+  // The reference's own running sum: at O_S = 1 h an exit above the sum
+  // through point k - 1 returns the sum through point k.
+  std::vector<double> sums;
+  opt.early_exit_above = std::numeric_limits<double>::denorm_min();
+  for (;;) {
+    const double sum = reference::pfh_lo_killing(ts, n, na, opt);
+    if (sum <= opt.early_exit_above) break;  // no point left to exceed it
+    sums.push_back(sum);
+    opt.early_exit_above = sum;
+  }
+  ASSERT_EQ(sums.size(), kFirst + kSecond) << "a point left the sum as it was";
+
+  // Exits on the first point, on each side of every chunk edge, on each
+  // task's tail point t, and on each side of the second task's first edge.
+  std::vector<std::size_t> exits = {1,           kFirst,      kFirst + 1,
+                                    kFirst + 32, kFirst + 33, kFirst + kSecond};
+  for (const std::size_t edge : kChunkEdges) {
+    exits.push_back(edge);
+    exits.push_back(edge + 1);
+  }
+  for (const std::size_t k : exits) {
+    opt.early_exit_above =
+        k == 1 ? std::numeric_limits<double>::denorm_min() : sums[k - 2];
+    const double lib = pfh_lo_killing(ts, n, na, opt);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(lib),
+              std::bit_cast<std::uint64_t>(
+                  reference::pfh_lo_killing(ts, n, na, opt)))
+        << "exit at point " << k;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(lib),
+              std::bit_cast<std::uint64_t>(sums[k - 1]))
+        << "exit at point " << k;
+  }
+}
+
+TEST(PfhKilling, FullSumMatchesReferenceWhenPointsEndOnAChunkEdge) {
+  // Points that fill their last chunk exactly, points whose tail t opens
+  // a chunk of its own, and one and two full-size chunks.
+  std::vector<std::size_t> counts = {4096, 8192};
+  for (const std::size_t edge : kChunkEdges) {
+    counts.push_back(edge);
+    counts.push_back(edge + 1);
+  }
+  const Millis t = hours_to_millis(1.0);
+  for (const std::size_t count : counts) {
+    const FtTaskSet ts({make("h", 500, 20, Dal::B, 1e-3),
+                        lo_task_with_points("l", count, 10)},
+                       {Dal::B, Dal::C});
+    ASSERT_EQ(pi_points(ts[1], 1, t).size(), count);
+    const PerTaskProfile n = uniform_profile(ts, 2, 1);
+    const PerTaskProfile na = uniform_profile(ts, 1, 0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pfh_lo_killing(ts, n, na)),
+              std::bit_cast<std::uint64_t>(
+                  reference::pfh_lo_killing(ts, n, na)))
+        << count << " points";
+  }
 }
 
 TEST(Omega, Eq6HandValues) {

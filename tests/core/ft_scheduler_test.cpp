@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <random>
+#include <utility>
 
 #include "ftmc/core/ft_checkpoint.hpp"
 #include "ftmc/mcs/edf_vd.hpp"
 #include "ftmc/mcs/fixed_priority.hpp"
+#include "ftmc/mcs/mc_dbf.hpp"
+#include "ftmc/taskgen/generator.hpp"
 
 namespace ftmc::core {
 namespace {
@@ -204,6 +210,99 @@ TEST(FtSchedule, CustomSchedulerViaInterface) {
   // hold is internal consistency on success.
   if (r.success) {
     EXPECT_TRUE(mcs::AmcRtbTest{}.schedulable(r.converted));
+  }
+}
+
+/// The FT-S path a result took, as ft_schedule's report tells them apart.
+std::string path_of(const FtsResult& r, const FtsConfig& cfg) {
+  if (!r.success) return std::string(to_string(r.failure));
+  return cfg.prefer_no_adaptation && r.feasible_without_adaptation
+             ? "shortcut"
+             : "success";
+}
+
+TEST(FtVerdict, EqualsFtScheduleVerdictFieldsOnEveryPath) {
+  // The Fig. 3 probabilities, plus f = 0.9 on one level: no profile up to
+  // kMaxProfile makes that level safe, which is how a generated set
+  // reaches the safety-failure paths.
+  struct Faults {
+    double hi;
+    double lo;
+  };
+  const Faults faults[] = {{1e-3, 1e-3}, {1e-5, 1e-5}, {0.9, 1e-5},
+                           {1e-5, 0.9}};
+  const std::pair<const char*, mcs::SchedulabilityTestPtr> tests[] = {
+      {"default", nullptr},
+      {"MC-DBF", std::make_shared<const mcs::McDbfTest>()},
+      {"AMC-rtb", std::make_shared<const mcs::AmcRtbTest>()}};
+  std::map<std::string, int> paths;
+  int cases = 0;
+  for (const mcs::AdaptationKind kind :
+       {mcs::AdaptationKind::kNone, mcs::AdaptationKind::kKilling,
+        mcs::AdaptationKind::kDegradation}) {
+    for (const bool constrained : {false, true}) {
+      for (const auto& [test_name, test] : tests) {
+        // EDF-VD and its degradation variant, the default S under an
+        // adaptation, take implicit deadlines only.
+        if (constrained && !test && kind != mcs::AdaptationKind::kNone) {
+          continue;
+        }
+        for (const bool prefer : {false, true}) {
+          for (const Faults& f : faults) {
+            for (const Dal lo : {Dal::C, Dal::D}) {
+              taskgen::GeneratorParams params;
+              params.mapping = {Dal::B, lo};
+              taskgen::Rng rng(static_cast<std::uint64_t>(cases) + 1);
+              std::uniform_real_distribution<double> stretch(0.75, 1.0);
+              for (const double u : {0.2, 0.45, 0.7, 0.95}) {
+                params.target_utilization = u;
+                const FtTaskSet drawn = taskgen::generate_task_set(params, rng);
+                std::vector<FtTask> tasks(drawn.tasks().begin(),
+                                          drawn.tasks().end());
+                for (std::size_t i = 0; i < tasks.size(); ++i) {
+                  const bool hi = drawn.crit_of(i) == CritLevel::HI;
+                  tasks[i].failure_prob = hi ? f.hi : f.lo;
+                  if (constrained) tasks[i].deadline *= stretch(rng);
+                }
+                const FtTaskSet ts(tasks, drawn.mapping());
+
+                FtsConfig cfg;
+                cfg.adaptation.kind = kind;
+                cfg.adaptation.degradation_factor = 6.0;
+                cfg.adaptation.os_hours = 1.0;
+                cfg.test = test;
+                cfg.prefer_no_adaptation = prefer;
+                const FtsVerdict v = ft_verdict(ts, cfg);
+                const FtsResult r = ft_schedule(ts, cfg);
+                SCOPED_TRACE(::testing::Message()
+                             << "kind " << static_cast<int>(kind)
+                             << (constrained ? " D<=T " : " D=T ")
+                             << test_name << " prefer " << prefer << " f "
+                             << f.hi << "/" << f.lo << " LO "
+                             << to_string(lo) << " U " << u);
+                EXPECT_EQ(v.success, r.success);
+                EXPECT_EQ(v.failure, r.failure);
+                EXPECT_EQ(v.n_hi, r.n_hi);
+                EXPECT_EQ(v.n_lo, r.n_lo);
+                EXPECT_EQ(v.n1_hi, r.n1_hi);
+                EXPECT_EQ(v.n2_hi, r.n2_hi);
+                EXPECT_EQ(v.n_adapt, r.n_adapt);
+                EXPECT_EQ(v.feasible_without_adaptation,
+                          r.feasible_without_adaptation);
+                EXPECT_EQ(v.scheduler_name, r.scheduler_name);
+                ++paths[path_of(r, cfg)];
+                ++cases;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  for (const char* path :
+       {"HI-safety-infeasible", "LO-safety-infeasible", "shortcut",
+        "adaptation-unsafe", "unschedulable", "success"}) {
+    EXPECT_GT(paths[path], 0) << path << " is never reached";
   }
 }
 

@@ -12,7 +12,8 @@
 #      must exit 0, and journal.jsonl + results.json must be
 #      byte-identical to the control run;
 #   3. fleet smoke: `run --fleet 4` (four forked local workers) must
-#      reproduce the same bytes again;
+#      reproduce the same bytes again, and its log must hold each
+#      worker's summary line whole;
 #   4. hand-off: a campaign started in process (`run --max-cells 3`),
 #      torn mid-append, and finished by `run --fleet 2` must reproduce
 #      the same bytes, and the coordinator's BENCH_fleet.json must count
@@ -99,6 +100,15 @@ FTMC_BENCH_DIR="$WORK/fleet4-bench" "$BIN" run --spec "$WORK/spec.json" \
   > "$WORK/fleet4.log" 2>&1
 cmp "$WORK/control/journal.jsonl" "$WORK/fleet4/journal.jsonl"
 cmp "$WORK/control/results.json" "$WORK/fleet4/results.json"
+# The four forked workers share one stderr; each summary line must
+# arrive whole, not interleaved with another worker's.
+summaries=$(grep -cE '^worker w[0-9]+: [0-9]+ cells over [0-9]+ leases in [^ ]+ s$' \
+  "$WORK/fleet4.log" || true)
+if [ "$summaries" -ne 4 ]; then
+  echo "fleet4.log: expected 4 whole worker summary lines, got $summaries" >&2
+  cat "$WORK/fleet4.log" >&2
+  exit 1
+fi
 
 echo "== hand-off: run --max-cells 3, torn journal, finish with --fleet 2"
 code=0
