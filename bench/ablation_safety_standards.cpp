@@ -12,13 +12,11 @@
 
 int main(int argc, char** argv) {
   using namespace ftmc;
-  bench::BenchReport report("ablation_safety_standards", argc, argv);
   int sets = 200;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--sets") sets = std::atoi(argv[i + 1]);
-  }
-  if (const char* env = std::getenv("FTMC_BENCH_SETS")) sets = std::atoi(env);
-  if (sets <= 0) sets = 1;
+  const cli::Command flags{.program = "ablation_safety_standards",
+                           .flags = {bench::sets_flag(sets)}};
+  if (const auto code = cli::parse(flags, argc, argv)) return *code;
+  bench::BenchReport report("ablation_safety_standards", argc, argv);
 
   const std::vector<core::SafetyRequirements> standards = {
       core::SafetyRequirements::do178b(),

@@ -17,13 +17,11 @@
 
 int main(int argc, char** argv) {
   using namespace ftmc;
-  bench::BenchReport report("ablation_scheduler_comparison", argc, argv);
   int sets = 100;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--sets") sets = std::atoi(argv[i + 1]);
-  }
-  if (const char* env = std::getenv("FTMC_BENCH_SETS")) sets = std::atoi(env);
-  if (sets <= 0) sets = 1;
+  const cli::Command flags{.program = "ablation_scheduler_comparison",
+                           .flags = {bench::sets_flag(sets)}};
+  if (const auto code = cli::parse(flags, argc, argv)) return *code;
+  bench::BenchReport report("ablation_scheduler_comparison", argc, argv);
 
   struct Entry {
     const char* label;

@@ -7,7 +7,6 @@
 #include <string>
 #include <thread>
 
-#include "ftmc/common/parse.hpp"
 #include "ftmc/io/json.hpp"
 #include "ftmc/io/table.hpp"
 #include "ftmc/obs/registry.hpp"
@@ -112,13 +111,6 @@ BenchReport::~BenchReport() {
   }
 }
 
-bool progress_requested(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--progress") return true;
-  }
-  return false;
-}
-
 std::vector<Fig3Point> fig3_points_from(
     const campaign::CampaignResult& result) {
   std::vector<Fig3Point> points;
@@ -169,81 +161,51 @@ void print_fig3(const campaign::CampaignSpec& spec,
   std::cout << std::endl;
 }
 
-Expected<BenchOverrides> parse_bench_overrides(int argc, char** argv,
-                                               bool allow_campaign_flags) {
-  using Fail = Expected<BenchOverrides>;
-  BenchOverrides overrides;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--progress") {
-      overrides.progress = true;
-      continue;
-    }
-    const bool known =
-        flag == "--sets" || flag == "--seed" || flag == "--threads" ||
-        (allow_campaign_flags && (flag == "--spec" || flag == "--out"));
-    if (!known) {
-      return Fail::failure(
-          "unknown argument \"" + flag + "\" (expected --sets N, --seed S, "
-          "--threads T, --progress" +
-          (allow_campaign_flags ? ", --spec FILE, --out DIR)" : ")"));
-    }
-    if (i + 1 >= argc) {
-      return Fail::failure("flag " + flag + " expects a value");
-    }
-    const std::string value = argv[++i];
-    if (flag == "--sets") {
-      const auto n = parse_int("--sets", value, 1, INT_MAX);
-      if (!n) return Fail::failure(n.error());
-      overrides.sets = static_cast<int>(*n);
-    } else if (flag == "--seed") {
-      const auto s = parse_uint64("--seed", value);
-      if (!s) return Fail::failure(s.error());
-      overrides.seed = *s;
-    } else if (flag == "--threads") {
-      const auto n = parse_int("--threads", value, INT_MIN, INT_MAX);
-      if (!n) return Fail::failure(n.error());
-      overrides.threads = static_cast<int>(*n);
-    } else if (flag == "--spec") {
-      overrides.spec = value;
-    } else {  // --out
-      overrides.out = value;
-    }
+cli::Flag sets_flag(int& sets) {
+  return cli::integer("--sets", sets, 1, INT_MAX, "task sets per point")
+      .overridden_by("FTMC_BENCH_SETS");
+}
+
+cli::Command bench_flags(std::string program, BenchOverrides& overrides,
+                         bool campaign_flags) {
+  cli::Command command{.program = std::move(program)};
+  command.flags = {
+      sets_flag(overrides.sets),
+      cli::uint64("--seed", overrides.seed, "base seed of the sweep"),
+      cli::integer("--threads", overrides.threads, INT_MIN, INT_MAX,
+                   "worker threads (1 = serial, 0 = all; default 0)")
+          .overridden_by("FTMC_BENCH_THREADS"),
+      cli::toggle("--progress", overrides.progress,
+                  "live progress meter on stderr"),
+  };
+  if (campaign_flags) {
+    command.flags.push_back(cli::text("--spec", overrides.spec, "FILE",
+                                      "campaign spec to run instead"));
+    command.flags.push_back(cli::text(
+        "--out", overrides.out, "DIR",
+        "persist the campaign in DIR (journal, results)"));
   }
-  // Environment overrides used by CI smoke runs (win over the CLI).
-  if (const char* env = std::getenv("FTMC_BENCH_SETS")) {
-    const auto n = parse_int("FTMC_BENCH_SETS", env, 1, INT_MAX);
-    if (!n) return Fail::failure(n.error());
-    overrides.sets = static_cast<int>(*n);
-  }
-  if (const char* env = std::getenv("FTMC_BENCH_THREADS")) {
-    const auto n = parse_int("FTMC_BENCH_THREADS", env, INT_MIN, INT_MAX);
-    if (!n) return Fail::failure(n.error());
-    overrides.threads = static_cast<int>(*n);
-  }
-  return overrides;
+  return command;
 }
 
 int fig3_campaign_main(const char* bench_name,
                        const char* default_spec_path, int argc,
                        char** argv) {
+  BenchOverrides overrides;
+  overrides.spec = default_spec_path;
+  const cli::Command flags =
+      bench_flags(bench_name, overrides, /*campaign_flags=*/true);
+  if (const auto code = cli::parse(flags, argc, argv)) return *code;
   BenchReport report(bench_name, argc, argv);
-  const auto parsed =
-      parse_bench_overrides(argc, argv, /*allow_campaign_flags=*/true);
-  if (!parsed) {
-    std::cerr << bench_name << ": " << parsed.error() << "\n";
-    return 2;
-  }
   try {
-    campaign::CampaignSpec spec = campaign::load_spec_file(
-        parsed->spec ? *parsed->spec : default_spec_path);
-    if (parsed->sets) spec.sets_per_point = *parsed->sets;
-    if (parsed->seed) spec.seed = *parsed->seed;
+    campaign::CampaignSpec spec = campaign::load_spec_file(overrides.spec);
+    if (overrides.sets > 0) spec.sets_per_point = overrides.sets;
+    if (overrides.seed) spec.seed = *overrides.seed;
 
     campaign::RunnerOptions options;
-    options.threads = parsed->threads.value_or(0);  // benches: all threads
-    if (parsed->out) options.dir = *parsed->out;
-    if (parsed->progress) options.progress = obs::stderr_progress("fig3");
+    options.threads = overrides.threads;
+    options.dir = overrides.out;
+    if (overrides.progress) options.progress = obs::stderr_progress("fig3");
 
     const campaign::CampaignResult result =
         campaign::run_campaign(spec, options);

@@ -13,7 +13,7 @@
 
 #include "ftmc/campaign/runner.hpp"
 #include "ftmc/campaign/spec.hpp"
-#include "ftmc/common/expected.hpp"
+#include "ftmc/common/cli.hpp"
 #include "ftmc/core/ft_scheduler.hpp"
 #include "ftmc/obs/progress.hpp"
 #include "ftmc/taskgen/generator.hpp"
@@ -65,9 +65,6 @@ class BenchReport {
   bool written_ = false;
 };
 
-/// True when `--progress` appears in argv (live stderr progress meter).
-[[nodiscard]] bool progress_requested(int argc, char** argv);
-
 /// One data point: acceptance ratios with and without the adaptation
 /// mechanism (the shaded "schedulability gap" of Fig. 3).
 struct Fig3Point {
@@ -87,24 +84,26 @@ struct Fig3Point {
 void print_fig3(const campaign::CampaignSpec& spec,
                 const std::vector<Fig3Point>& points);
 
-/// The CLI flags shared by the sweep benches, parsed strictly.
+/// The flags of the Fig. 3 sweep benches; empty or 0 = not given.
 struct BenchOverrides {
-  std::optional<int> sets;
+  int sets = 0;
   std::optional<std::uint64_t> seed;
-  std::optional<int> threads;
+  int threads = 0;  ///< benches: all hardware threads
   bool progress = false;
-  std::optional<std::string> spec;  ///< --spec FILE (campaign benches)
-  std::optional<std::string> out;   ///< --out DIR (campaign benches)
+  std::string spec;  ///< --spec FILE (campaign benches)
+  std::string out;   ///< --out DIR (campaign benches)
 };
 
-/// Parses "--sets N", "--seed S", "--threads T", "--progress" and (when
-/// `allow_campaign_flags`) "--spec FILE" / "--out DIR", then applies the
-/// FTMC_BENCH_SETS / FTMC_BENCH_THREADS environment overrides (CI smoke
-/// runs; env wins over CLI). Strict: unknown flags, missing values and
-/// malformed numbers, CLI or environment, come back as an error — mains
-/// print it and exit non-zero instead of silently ignoring input.
-[[nodiscard]] Expected<BenchOverrides> parse_bench_overrides(
-    int argc, char** argv, bool allow_campaign_flags = false);
+/// `--sets N` (N >= 1), overridden by FTMC_BENCH_SETS: CI smoke runs
+/// shrink every sweep with it, so it wins over the flag and must parse.
+[[nodiscard]] cli::Flag sets_flag(int& sets);
+
+/// The sweep benches' table: "--sets N", "--seed S", "--threads T",
+/// "--progress" and (when `campaign_flags`) "--spec FILE" / "--out DIR";
+/// FTMC_BENCH_SETS / FTMC_BENCH_THREADS override --sets / --threads.
+[[nodiscard]] cli::Command bench_flags(std::string program,
+                                       BenchOverrides& overrides,
+                                       bool campaign_flags = false);
 
 /// Shared main() of the fig3a-d benches: loads the campaign spec at
 /// `default_spec_path` (overridable with --spec), applies CLI/env

@@ -4,7 +4,6 @@
 /// k = 4 segments, with and without checkpoint overhead — quantifying how
 /// much schedulable region finer-grained fault tolerance buys once it is
 /// pushed through the whole pipeline (safety gate + conversion + EDF-VD).
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -15,13 +14,11 @@
 
 int main(int argc, char** argv) {
   using namespace ftmc;
-  bench::BenchReport report("extension_checkpointed_fts", argc, argv);
   int sets = 200;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--sets") sets = std::atoi(argv[i + 1]);
-  }
-  if (const char* env = std::getenv("FTMC_BENCH_SETS")) sets = std::atoi(env);
-  if (sets <= 0) sets = 1;
+  const cli::Command flags{.program = "extension_checkpointed_fts",
+                           .flags = {bench::sets_flag(sets)}};
+  if (const auto code = cli::parse(flags, argc, argv)) return *code;
+  bench::BenchReport report("extension_checkpointed_fts", argc, argv);
 
   struct Variant {
     const char* label;

@@ -3,7 +3,6 @@
 /// under FT-EDF-VD with task killing (LO in {D, E}), plus one end-to-end
 /// simulated deployment validating that the per-core analysis verdicts
 /// hold at runtime.
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -15,13 +14,11 @@
 
 int main(int argc, char** argv) {
   using namespace ftmc;
-  bench::BenchReport report("extension_multicore", argc, argv);
   int sets = 200;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--sets") sets = std::atoi(argv[i + 1]);
-  }
-  if (const char* env = std::getenv("FTMC_BENCH_SETS")) sets = std::atoi(env);
-  if (sets <= 0) sets = 1;
+  const cli::Command flags{.program = "extension_multicore",
+                           .flags = {bench::sets_flag(sets)}};
+  if (const auto code = cli::parse(flags, argc, argv)) return *code;
+  bench::BenchReport report("extension_multicore", argc, argv);
 
   std::cout << "=== Extension — partitioned multiprocessor FT-MC ===\n";
   std::cout << "task killing, HI=B, LO=D, f=1e-5, " << sets

@@ -76,28 +76,11 @@ using namespace ftmc;
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchReport report("fleet_throughput", argc, argv);
-
   int sets = 100;
-  // CI smoke sizing, same convention as the fig3 benches: the
-  // environment override wins over the CLI.
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--sets" && i + 1 < argc) {
-      sets = std::atoi(argv[++i]);
-    } else {
-      std::cerr << "fleet_throughput: unknown flag \"" << flag << "\"\n";
-      return 2;
-    }
-  }
-  if (const char* env = std::getenv("FTMC_BENCH_SETS");
-      env != nullptr && *env != '\0') {
-    sets = std::atoi(env);
-  }
-  if (sets <= 0) {
-    std::cerr << "fleet_throughput: --sets must be positive\n";
-    return 2;
-  }
+  const cli::Command flags{.program = "fleet_throughput",
+                           .flags = {bench::sets_flag(sets)}};
+  if (const auto code = cli::parse(flags, argc, argv)) return *code;
+  bench::BenchReport report("fleet_throughput", argc, argv);
 
   const campaign::CampaignSpec spec = bench_spec(sets);
   const double cells =

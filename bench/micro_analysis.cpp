@@ -6,7 +6,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/experiment_util.hpp"
 #include "ftmc/core/analysis.hpp"
@@ -131,13 +130,9 @@ BENCHMARK(BM_Ablation_AccuracyReport);
 /// tuner over Appendix-C generated task sets, timed separately from the
 /// google-benchmark phase above (whose wall time is pinned by
 /// --benchmark_min_time and would dilute the rate). One item = one task
-/// set pushed through all three analyses. Size via FTMC_BENCH_ANALYSIS_SETS.
+/// set pushed through all three analyses.
 void run_gate_workload(ftmc::bench::BenchReport& report) {
-  int sets = 96;
-  if (const char* env = std::getenv("FTMC_BENCH_ANALYSIS_SETS")) {
-    const int n = std::atoi(env);
-    if (n > 0) sets = n;
-  }
+  constexpr int sets = 96;
   constexpr double kUtilizations[] = {0.3, 0.5, 0.7, 0.9};
 
   core::FtsConfig killing;
@@ -175,7 +170,7 @@ void run_gate_workload(ftmc::bench::BenchReport& report) {
 int main(int argc, char** argv) {
   ftmc::bench::BenchReport report("micro_analysis", argc, argv);
   ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
   run_gate_workload(report);

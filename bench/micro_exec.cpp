@@ -10,7 +10,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
+#include <climits>
 
 #include "common/experiment_util.hpp"
 #include "ftmc/core/conversion.hpp"
@@ -23,13 +23,8 @@ namespace {
 
 using namespace ftmc;
 
-int missions_from_env() {
-  if (const char* env = std::getenv("FTMC_BENCH_MISSIONS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 1000;
-}
+/// Missions of the BM_MonteCarloCampaign runs (FTMC_BENCH_MISSIONS).
+int g_missions = 1000;
 
 void BM_DeriveSeed(benchmark::State& state) {
   std::uint64_t acc = 0;
@@ -67,7 +62,7 @@ void BM_MonteCarloCampaign(benchmark::State& state) {
   cfg.adaptation = mcs::AdaptationKind::kKilling;
 
   sim::MonteCarloOptions opt;
-  opt.missions = missions_from_env();
+  opt.missions = g_missions;
   opt.mission_length = sim::kTicksPerSecond;  // one simulated second
   opt.seed = 20140601;
   opt.threads = static_cast<int>(state.range(0));
@@ -106,10 +101,6 @@ void run_gate_workload(ftmc::bench::BenchReport& report) {
   // google-benchmark campaign above): the gate needs a workload long
   // enough to time stably even on CI smoke runs.
   opt.missions = 50000;
-  if (const char* env = std::getenv("FTMC_BENCH_GATE_MISSIONS")) {
-    const int n = std::atoi(env);
-    if (n > 0) opt.missions = n;
-  }
   opt.mission_length = sim::kTicksPerSecond;  // one simulated second
   opt.seed = 20140601;
   opt.threads = 0;  // all hardware threads
@@ -128,9 +119,16 @@ void run_gate_workload(ftmc::bench::BenchReport& report) {
 
 int main(int argc, char** argv) {
   ftmc::bench::BenchReport report("micro_exec", argc, argv);
-  report.note_number("missions", missions_from_env());
   ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  // google-benchmark took its flags; the rest is the environment.
+  const ftmc::cli::Command flags{
+      .program = "micro_exec",
+      .flags = {ftmc::cli::integer("", g_missions, 1, INT_MAX,
+                                   "campaign missions (default 1000)")
+                    .overridden_by("FTMC_BENCH_MISSIONS")}};
+  if (const auto code = ftmc::cli::parse(flags, argc, argv)) return *code;
+  report.note_number("missions", g_missions);
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
   run_gate_workload(report);

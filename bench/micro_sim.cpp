@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdlib>
 
 #include "common/experiment_util.hpp"
 #include "ftmc/core/conversion.hpp"
@@ -94,13 +93,9 @@ BENCHMARK(BM_SimSporadicArrivals);
 /// Fixed, deterministic simulator workload for the perf gate: EDF-VD with
 /// task killing over the FMS case study plus an elevated-fault variant,
 /// timed separately from the google-benchmark phase (see micro_analysis).
-/// One item = one released job. Size via FTMC_BENCH_SIM_MINUTES.
+/// One item = one released job.
 void run_gate_workload(ftmc::bench::BenchReport& report) {
-  int minutes = 600;
-  if (const char* env = std::getenv("FTMC_BENCH_SIM_MINUTES")) {
-    const int n = std::atoi(env);
-    if (n > 0) minutes = n;
-  }
+  constexpr int minutes = 600;
 
   const auto t0 = std::chrono::steady_clock::now();
   std::uint64_t jobs = 0;
@@ -129,7 +124,7 @@ void run_gate_workload(ftmc::bench::BenchReport& report) {
 int main(int argc, char** argv) {
   ftmc::bench::BenchReport report("micro_sim", argc, argv);
   ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
   run_gate_workload(report);

@@ -18,6 +18,7 @@
 /// and tcp_qps notes. The warm/cold ratio is the cache's measured win;
 /// CI asserts warm_qps > cold_qps.
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -40,53 +41,31 @@ struct Options {
   int rounds = 4;          ///< warm rounds (cold is always one round)
   int threads = 0;         ///< server worker threads (0 = all)
   int clients = 4;         ///< concurrent TCP client connections
-  bool tcp = true;         ///< run the loopback TCP phase
+  bool no_tcp = false;     ///< skip the loopback TCP phase
   bool shutdown_after = false;
-  std::string connect;     ///< "host:port" of an external daemon
+  bool progress = false;   ///< accepted like the other benches; no effect
+  cli::Endpoint connect;   ///< an external daemon (empty host: none)
 };
 
-[[nodiscard]] Options parse_cli(int argc, char** argv) {
-  Options opt;
-  auto int_arg = [&](int& i, const char* flag) {
-    if (i + 1 >= argc) {
-      std::cerr << "serve_throughput: " << flag << " expects a value\n";
-      std::exit(2);
-    }
-    return std::atoi(argv[++i]);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--queries") {
-      opt.queries = int_arg(i, "--queries");
-    } else if (flag == "--rounds") {
-      opt.rounds = int_arg(i, "--rounds");
-    } else if (flag == "--threads") {
-      opt.threads = int_arg(i, "--threads");
-    } else if (flag == "--clients") {
-      opt.clients = int_arg(i, "--clients");
-    } else if (flag == "--no-tcp") {
-      opt.tcp = false;
-    } else if (flag == "--shutdown-after") {
-      opt.shutdown_after = true;
-    } else if (flag == "--connect") {
-      if (i + 1 >= argc) {
-        std::cerr << "serve_throughput: --connect expects HOST:PORT\n";
-        std::exit(2);
-      }
-      opt.connect = argv[++i];
-    } else if (flag == "--progress") {
-      // accepted for uniformity with the other benches; no-op here
-    } else {
-      std::cerr << "serve_throughput: unknown flag \"" << flag << "\"\n";
-      std::exit(2);
-    }
-  }
-  if (opt.queries < 1 || opt.rounds < 1 || opt.clients < 1) {
-    std::cerr << "serve_throughput: --queries/--rounds/--clients must be "
-                 ">= 1\n";
-    std::exit(2);
-  }
-  return opt;
+[[nodiscard]] cli::Command flags(Options& opt) {
+  return {
+      .program = "serve_throughput",
+      .flags = {
+          cli::integer("--queries", opt.queries, 1, INT_MAX,
+                       "task sets per batch (default 64)"),
+          cli::integer("--rounds", opt.rounds, 1, INT_MAX,
+                       "warm rounds (default 4)"),
+          cli::integer("--threads", opt.threads, INT_MIN, INT_MAX,
+                       "server worker threads (0 = all; default 0)"),
+          cli::integer("--clients", opt.clients, 1, INT_MAX,
+                       "concurrent TCP client connections (default 4)"),
+          cli::toggle("--no-tcp", opt.no_tcp, "skip the loopback TCP phase"),
+          cli::endpoint("--connect", opt.connect,
+                        "drive an external daemon in the TCP phase"),
+          cli::toggle("--shutdown-after", opt.shutdown_after,
+                      "send {\"type\":\"shutdown\"} once done"),
+          cli::toggle("--progress", opt.progress, "accepted; no effect"),
+      }};
 }
 
 /// One analyze request carrying `n` random Appendix-C task sets. The
@@ -134,7 +113,8 @@ struct Options {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_cli(argc, argv);
+  Options opt;
+  if (const auto code = cli::parse(flags(opt), argc, argv)) return *code;
   bench::BenchReport report("serve_throughput", argc, argv);
   const std::string request = make_request(opt.queries);
   double total_queries = 0.0;
@@ -170,26 +150,18 @@ int main(int argc, char** argv) {
   // batch; the server's answer cache is warm after the first round, so
   // this measures transport + dispatch more than raw analysis.
   double tcp_qps = 0.0;
-  if (opt.tcp) {
-    std::string host = "127.0.0.1";
-    std::uint16_t port = 0;
+  if (!opt.no_tcp) {
+    std::string host = opt.connect.host;
+    std::uint16_t port = opt.connect.port;
     serve::Server tcp_engine(server_options);
     std::unique_ptr<serve::TcpServer> listener;
     std::thread accept_thread;
-    if (opt.connect.empty()) {
+    if (host.empty()) {
+      host = "127.0.0.1";
       listener =
           std::make_unique<serve::TcpServer>(tcp_engine, serve::TcpOptions{});
       port = listener->port();
       accept_thread = std::thread([&] { listener->serve(); });
-    } else {
-      const auto colon = opt.connect.rfind(':');
-      if (colon == std::string::npos) {
-        std::cerr << "serve_throughput: --connect expects HOST:PORT\n";
-        return 2;
-      }
-      host = opt.connect.substr(0, colon);
-      port = static_cast<std::uint16_t>(
-          std::atoi(opt.connect.c_str() + colon + 1));
     }
 
     t0 = std::chrono::steady_clock::now();

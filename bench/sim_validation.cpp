@@ -3,8 +3,8 @@
 /// rare events become observable in minutes of simulated time; the
 /// empirical probability-of-failure-per-hour must stay below each
 /// analytical bound (they are upper bounds; the gap quantifies pessimism).
+#include <climits>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 
 #include "common/experiment_util.hpp"
@@ -18,6 +18,16 @@
 
 int main(int argc, char** argv) {
   using namespace ftmc;
+  int missions = 400;
+  bool progress = false;
+  const cli::Command flags{
+      .program = "sim_validation",
+      .flags = {cli::integer("", missions, 1, INT_MAX,
+                             "Monte-Carlo missions (default 400)")
+                    .overridden_by("FTMC_BENCH_MISSIONS"),
+                cli::toggle("--progress", progress,
+                            "live progress meter on stderr")}};
+  if (const auto code = cli::parse(flags, argc, argv)) return *code;
   bench::BenchReport report("sim_validation", argc, argv);
   const double f = 1e-2;
   const auto task = [f](const char* name, Millis period, Millis wcet,
@@ -74,16 +84,10 @@ int main(int argc, char** argv) {
   mc_cfg.policy = sim::PolicyKind::kEdfVd;
   mc_cfg.adaptation = mcs::AdaptationKind::kKilling;
   sim::MonteCarloOptions mc_opt;
-  mc_opt.missions = 400;
-  if (const char* env = std::getenv("FTMC_BENCH_MISSIONS")) {
-    const int n = std::atoi(env);
-    if (n > 0) mc_opt.missions = n;
-  }
+  mc_opt.missions = missions;
   mc_opt.mission_length = sim::millis_to_ticks(mission_ms);
   mc_opt.seed = 777;
-  if (bench::progress_requested(argc, argv)) {
-    mc_opt.progress = obs::stderr_progress("missions");
-  }
+  if (progress) mc_opt.progress = obs::stderr_progress("missions");
   const sim::MonteCarloResult mc = sim::monte_carlo_campaign(
       sim::build_sim_tasks(ts, n_hi, n_lo, 1, 1.0), mc_cfg, mc_opt);
   const double bound_trigger =

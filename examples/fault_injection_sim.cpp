@@ -14,11 +14,11 @@
 /// chrome://tracing): process 1 holds the simulator timeline (one lane
 /// per task plus a system lane for mode switches), process 2 the worker
 /// lanes of a small threaded Monte-Carlo campaign over the same system.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "ftmc/common/cli.hpp"
 #include "ftmc/core/ft_scheduler.hpp"
 #include "ftmc/io/table.hpp"
 #include "ftmc/mcs/edf_vd.hpp"
@@ -32,14 +32,12 @@ int main(int argc, char** argv) {
   using namespace ftmc;
   std::uint64_t seed = 42;
   std::string trace_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (!arg.empty() && arg[0] != '-') {
-      seed = std::strtoull(arg.c_str(), nullptr, 10);
-    }
-  }
+  const cli::Command flags{
+      .program = "fault_injection_sim",
+      .flags = {cli::uint64("SEED", seed, "simulator seed (default 42)"),
+                cli::text("--trace-out", trace_out, "FILE",
+                          "write a Chrome trace-event JSON of the run")}};
+  if (const auto code = cli::parse(flags, argc, argv)) return *code;
 
   // Example 3.1 with f inflated to 3% so that re-executions and the mode
   // switch actually happen within a short horizon.

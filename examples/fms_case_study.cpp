@@ -17,6 +17,7 @@
 #include <iostream>
 #include <string>
 
+#include "ftmc/common/cli.hpp"
 #include "ftmc/core/conversion.hpp"
 #include "ftmc/core/ft_scheduler.hpp"
 #include "ftmc/fms/fms.hpp"
@@ -45,9 +46,11 @@ void report(const char* label, const ftmc::core::FtsResult& r) {
 int main(int argc, char** argv) {
   using namespace ftmc;
   std::string trace_out;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--trace-out") trace_out = argv[i + 1];
-  }
+  const cli::Command flags{
+      .program = "fms_case_study",
+      .flags = {cli::text("--trace-out", trace_out, "FILE",
+                          "trace one simulated second of the degraded FMS")}};
+  if (const auto code = cli::parse(flags, argc, argv)) return *code;
   const core::FtTaskSet fms = fms::canonical_fms_instance();
   const auto reqs = core::SafetyRequirements::do178b();
 

@@ -10,10 +10,12 @@
 /// configuration in the discrete-event simulator and reports runtime
 /// statistics.
 #include <algorithm>
+#include <climits>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "ftmc/common/cli.hpp"
 #include "ftmc/core/report.hpp"
 #include "ftmc/io/json.hpp"
 #include "ftmc/io/table.hpp"
@@ -76,16 +78,16 @@ int main(int argc, char** argv) {
   bool json_output = false;
   int simulate_minutes = 0;
   std::string path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json_output = true;
-    } else if (arg == "--simulate" && i + 1 < argc) {
-      simulate_minutes = std::atoi(argv[++i]);
-    } else {
-      path = arg;
-    }
-  }
+  const cli::Command flags{
+      .program = "taskset_inspector",
+      .flags = {
+          cli::text("FILE", path, "FILE",
+                    "task set file (default: built-in Example 3.1)"),
+          cli::toggle("--json", json_output, "emit the FT-S results as JSON"),
+          cli::integer("--simulate", simulate_minutes, 0, INT_MAX,
+                       "also simulate the accepted plan for N minutes"),
+      }};
+  if (const auto code = cli::parse(flags, argc, argv)) return *code;
 
   core::FtTaskSet ts;
   if (!path.empty()) {

@@ -10,10 +10,8 @@
 #include <unistd.h>
 
 #include <climits>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,8 +19,7 @@
 #include "ftmc/campaign/journal.hpp"
 #include "ftmc/campaign/runner.hpp"
 #include "ftmc/campaign/spec.hpp"
-#include "ftmc/common/expected.hpp"
-#include "ftmc/common/parse.hpp"
+#include "ftmc/common/cli.hpp"
 #include "ftmc/exec/stats.hpp"
 #include "ftmc/fleet/service.hpp"
 #include "ftmc/fleet/worker.hpp"
@@ -35,200 +32,93 @@ namespace {
 
 using namespace ftmc;
 
-constexpr const char* kUsage = R"(usage: ftmc_campaign <command> [options]
-
-commands:
-  run        --spec FILE [--out DIR]  expand and run a campaign spec
-  resume     DIR                      continue the campaign persisted in DIR
-  expand     --spec FILE              list cells and cache hashes (dry run)
-  print      DIR                      render DIR/results.json as CSV
-  coordinate --spec FILE --out DIR    serve the campaign to fleet workers
-  worker     --connect HOST:PORT      lease and compute cells for a
-                                      coordinator
-
-options (run / resume):
-  --threads N       worker threads (1 = serial, 0 = all hardware threads)
-  --max-cells N     stop after N newly computed cells (crash drill)
-  --progress        live progress meter on stderr
-  --trace-out F     write a Chrome trace of the run to F
-  --stats           print per-phase run counters on completion
-  --fleet N         run: shard across N local worker processes instead of
-                    in-process threads (results are byte-identical)
-
-options (coordinate):
-  --port P          TCP port (default 0 = ephemeral; the chosen endpoint
-                    is printed as "listening on 127.0.0.1:PORT")
-  --port-file F     also write the chosen port to F (atomic)
-  --lease-cells K   cells per lease (default 8)
-  --lease-ttl-ms T  reissue a lease not answered within T ms
-                    (default 30000)
-  --linger-ms L     after completion, wait up to L ms for workers to
-                    collect their goodbye (default 2000)
-
-options (worker):
-  --threads N       threads per lease (default 1)
-  --name S          worker name for telemetry (default "worker")
-  --poll-ms N       wait between polls while the grid is drained
-  --throttle-ms N   artificial per-cell delay (crash-drill pacing)
-
-`ftmc_campaign --resume DIR` is accepted as an alias for `resume DIR`.
-)";
-
 struct CliOptions {
-  std::string command;
+  CliOptions() { runner.threads = 0; }  // CLI: all hardware threads
+
   std::string spec_path;
-  std::string dir;
-  int threads = 0;  // CLI default: all hardware threads
-  std::size_t max_cells = 0;
+  std::string dir;  ///< the runner's, the coordinator's or print's
+  campaign::RunnerOptions runner;
   bool progress = false;
   bool stats = false;
   std::string trace_out;
   // Fleet modes.
   int fleet = 0;
-  int port = 0;
+  fleet::CoordinatorOptions coordinator;
+  fleet::ServiceOptions listener;
   std::string port_file;
-  long long lease_cells = 8;
-  long long lease_ttl_ms = 30000;
-  long long linger_ms = 2000;
-  std::string connect;
-  std::string name = "worker";
-  int poll_ms = 200;
-  int throttle_ms = 0;
+  cli::Endpoint connect;
+  fleet::WorkerOptions worker;
 };
 
-[[nodiscard]] Expected<CliOptions> parse_cli(int argc, char** argv) {
-  using Fail = Expected<CliOptions>;
-  if (argc < 2) return Fail::failure(kUsage);
-  CliOptions opt;
-  int i = 1;
-  const std::string first = argv[i];
-  if (first == "--resume") {  // alias documented in the issue tracker
-    opt.command = "resume";
-    ++i;
-  } else if (first == "run" || first == "resume" || first == "expand" ||
-             first == "print" || first == "coordinate" ||
-             first == "worker") {
-    opt.command = first;
-    ++i;
-  } else if (first == "--help" || first == "-h") {
-    opt.command = "help";
-    return opt;
-  } else {
-    return Fail::failure("ftmc_campaign: unknown command \"" + first +
-                         "\"\n" + kUsage);
-  }
-
-  // Integer-valued flags shared by the fleet modes: flag -> (slot, min).
-  const auto int_flag = [&opt](const std::string& flag)
-      -> std::pair<long long*, long long> {
-    if (flag == "--fleet") return {nullptr, 0};  // handled inline (int)
-    if (flag == "--lease-cells") return {&opt.lease_cells, 1};
-    if (flag == "--lease-ttl-ms") return {&opt.lease_ttl_ms, 1};
-    if (flag == "--linger-ms") return {&opt.linger_ms, 0};
-    return {nullptr, 0};
+/// One table per command, each holding exactly the flags it reads.
+/// `run` keeps the coordinator's flags for `run --fleet N`.
+[[nodiscard]] std::vector<cli::Command> commands(CliOptions& opt) {
+  const cli::Flag spec =
+      cli::text("--spec", opt.spec_path, "FILE", "campaign spec").require();
+  const cli::Flag dir =
+      cli::text("DIR", opt.dir, "DIR", "campaign directory").require();
+  const cli::Flag out = cli::text("--out", opt.dir, "DIR",
+                                  "campaign directory (journal, results)");
+  const std::vector<cli::Flag> runner = {
+      cli::integer("--threads", opt.runner.threads, INT_MIN, INT_MAX,
+                   "worker threads (1 = serial, 0 = all hardware threads)"),
+      cli::integer("--max-cells", opt.runner.max_cells, 0, LLONG_MAX,
+                   "stop after N newly computed cells (crash drill)"),
+      cli::toggle("--progress", opt.progress,
+                  "live progress meter on stderr"),
+      cli::text("--trace-out", opt.trace_out, "FILE",
+                "write a Chrome trace of the run to FILE"),
+      cli::toggle("--stats", opt.stats,
+                  "print per-phase run counters on completion"),
   };
-
-  for (; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> Expected<std::string> {
-      if (i + 1 >= argc) {
-        return Expected<std::string>::failure(
-            "ftmc_campaign: " + flag + " expects a value");
-      }
-      return std::string(argv[++i]);
-    };
-    auto int_value = [&](long long min,
-                         long long max) -> Expected<long long> {
-      auto v = value();
-      if (!v) return Expected<long long>::failure(v.error());
-      auto n = parse_int(flag, *v, min, max);
-      if (!n) {
-        return Expected<long long>::failure("ftmc_campaign: " + n.error());
-      }
-      return n;
-    };
-    if (flag == "--spec") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      opt.spec_path = *v;
-    } else if (flag == "--out") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      opt.dir = *v;
-    } else if (flag == "--threads" || flag == "--port" ||
-               flag == "--fleet" || flag == "--poll-ms" ||
-               flag == "--throttle-ms") {
-      auto n = int_value(flag == "--threads" ? INT_MIN : 0,
-                         flag == "--port" ? 65535 : INT_MAX);
-      if (!n) return Fail::failure(n.error());
-      if (flag == "--threads") opt.threads = static_cast<int>(*n);
-      else if (flag == "--port") opt.port = static_cast<int>(*n);
-      else if (flag == "--fleet") opt.fleet = static_cast<int>(*n);
-      else if (flag == "--poll-ms") opt.poll_ms = static_cast<int>(*n);
-      else opt.throttle_ms = static_cast<int>(*n);
-    } else if (long long* slot = int_flag(flag).first; slot != nullptr) {
-      auto n = int_value(int_flag(flag).second, LLONG_MAX);
-      if (!n) return Fail::failure(n.error());
-      *slot = *n;
-    } else if (flag == "--max-cells") {
-      auto n = int_value(0, LLONG_MAX);
-      if (!n) return Fail::failure(n.error());
-      opt.max_cells = static_cast<std::size_t>(*n);
-    } else if (flag == "--port-file") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      opt.port_file = *v;
-    } else if (flag == "--connect") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      opt.connect = *v;
-    } else if (flag == "--name") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      opt.name = *v;
-    } else if (flag == "--progress") {
-      opt.progress = true;
-    } else if (flag == "--stats") {
-      opt.stats = true;
-    } else if (flag == "--trace-out") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      opt.trace_out = *v;
-    } else if (flag[0] == '-') {
-      return Fail::failure("ftmc_campaign: unknown flag \"" + flag +
-                           "\"\n" + kUsage);
-    } else if ((opt.command == "resume" || opt.command == "print") &&
-               opt.dir.empty()) {
-      opt.dir = flag;  // positional DIR
-    } else {
-      return Fail::failure("ftmc_campaign: unexpected argument \"" + flag +
-                           "\"");
-    }
-  }
-
-  if (opt.command == "run" || opt.command == "expand" ||
-      opt.command == "coordinate") {
-    if (opt.spec_path.empty()) {
-      return Fail::failure("ftmc_campaign: " + opt.command +
-                           " requires --spec FILE");
-    }
-  }
-  if ((opt.command == "resume" || opt.command == "print") &&
-      opt.dir.empty()) {
-    return Fail::failure("ftmc_campaign: " + opt.command +
-                         " requires a campaign DIR");
-  }
-  if (opt.command == "coordinate" && opt.dir.empty()) {
-    return Fail::failure("ftmc_campaign: coordinate requires --out DIR");
-  }
-  if (opt.command == "worker" && opt.connect.empty()) {
-    return Fail::failure(
-        "ftmc_campaign: worker requires --connect HOST:PORT");
-  }
-  if (opt.fleet > 0 && opt.command != "run") {
-    return Fail::failure("ftmc_campaign: --fleet only applies to run");
-  }
-  return opt;
+  const std::vector<cli::Flag> coordinator = {
+      cli::integer("--port", opt.listener.net.port, 0, 65535,
+                   "TCP port (default 0 = ephemeral)"),
+      cli::integer("--lease-cells", opt.coordinator.lease_cells, 1, LLONG_MAX,
+                   "cells per lease (default 8)"),
+      cli::integer("--lease-ttl-ms", opt.coordinator.lease_ttl_ms, 1,
+                   LLONG_MAX,
+                   "reissue a lease not answered within N ms\n"
+                   "(default 30000)"),
+      cli::integer("--linger-ms", opt.listener.linger_ms, 0, LLONG_MAX,
+                   "after completion, wait up to N ms for workers to\n"
+                   "collect their goodbye (default 2000)"),
+  };
+  // A command's own rows, then the shared groups it reads.
+  const auto rows = [](std::vector<cli::Flag> own, const auto&... groups) {
+    (own.insert(own.end(), groups.begin(), groups.end()), ...);
+    return own;
+  };
+  const std::string program = "ftmc_campaign";
+  return {
+      {program, "run", "expand and run a campaign spec",
+       rows({spec, out,
+             cli::integer("--fleet", opt.fleet, 0, INT_MAX,
+                          "shard across N local worker processes instead "
+                          "of\nin-process threads (results are "
+                          "byte-identical)")},
+            runner, coordinator)},
+      {program, "resume", "continue the campaign persisted in DIR",
+       rows({dir}, runner)},
+      {program, "--resume", "alias of resume DIR", rows({dir}, runner)},
+      {program, "expand", "list cells and cache hashes (dry run)", {spec}},
+      {program, "print", "render DIR/results.json as CSV", {dir}},
+      {program, "coordinate", "serve the campaign to fleet workers",
+       rows({spec, cli::Flag(out).require(),
+             cli::text("--port-file", opt.port_file, "FILE",
+                       "also write the chosen port to FILE (atomic)")},
+            coordinator)},
+      {program, "worker", "lease and compute cells for a coordinator",
+       {cli::endpoint("--connect", opt.connect, "the coordinator").require(),
+        cli::integer("--threads", opt.worker.threads, INT_MIN, INT_MAX,
+                     "threads per lease (default 1; 0 also means 1)"),
+        cli::text("--name", opt.worker.name, "S",
+                  "worker name for telemetry (default \"worker\")"),
+        cli::integer("--poll-ms", opt.worker.poll_ms, 0, INT_MAX,
+                     "wait between polls while the grid is drained"),
+        cli::integer("--throttle-ms", opt.worker.throttle_ms, 0, INT_MAX,
+                     "artificial per-cell delay (crash-drill pacing)")}},
+  };
 }
 
 void print_summary(const campaign::CampaignResult& result) {
@@ -258,7 +148,7 @@ void print_summary(const campaign::CampaignResult& result) {
   const pid_t pid = fork();
   if (pid != 0) return pid;
   const std::string endpoint = "127.0.0.1:" + std::to_string(port);
-  const std::string threads = std::to_string(opt.threads);
+  const std::string threads = std::to_string(opt.runner.threads);
   const std::string name = "w" + std::to_string(index);
   execl("/proc/self/exe", "ftmc_campaign", "worker", "--connect",
         endpoint.c_str(), "--threads", threads.c_str(), "--name",
@@ -269,27 +159,13 @@ void print_summary(const campaign::CampaignResult& result) {
 }
 
 int cmd_worker(const CliOptions& opt) {
-  const std::size_t colon = opt.connect.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= opt.connect.size()) {
-    std::cerr << "ftmc_campaign: --connect expects HOST:PORT, got \""
-              << opt.connect << "\"\n";
-    return 2;
-  }
-  const Expected<long long> port =
-      parse_int("--connect", opt.connect.substr(colon + 1), 1, 65535);
-  if (!port) {
-    std::cerr << "ftmc_campaign: bad port in \"" << opt.connect << "\"\n";
-    return 2;
-  }
   obs::Registry::global().enable();
 
-  fleet::WorkerOptions options;
-  options.host = opt.connect.substr(0, colon);
-  options.port = static_cast<std::uint16_t>(*port);
-  options.threads = opt.threads == 0 ? 1 : opt.threads;
-  options.name = opt.name;
-  options.poll_ms = opt.poll_ms;
-  options.throttle_ms = opt.throttle_ms;
+  fleet::WorkerOptions options = opt.worker;
+  options.host = opt.connect.host;
+  options.port = opt.connect.port;
+  // 0 is run's default, handed on by --fleet: one thread per lease.
+  if (options.threads == 0) options.threads = 1;
   const fleet::WorkerReport report = fleet::run_worker(options);
   // One write(2) for the whole line: `run --fleet N` forks N workers onto
   // one stderr, and a line written piece by piece interleaves with theirs.
@@ -307,15 +183,10 @@ int cmd_worker(const CliOptions& opt) {
 /// forked local workers): one coordinator either way.
 int cmd_fleet(const CliOptions& opt, int argc, char** argv) {
   obs::Registry::global().enable();
-  fleet::CoordinatorOptions coordinator;
+  fleet::CoordinatorOptions coordinator = opt.coordinator;
   coordinator.dir = opt.dir;
-  coordinator.lease_cells = static_cast<std::size_t>(opt.lease_cells);
-  coordinator.lease_ttl_ms = opt.lease_ttl_ms;
-  fleet::ServiceOptions listener;
-  listener.net.port = static_cast<std::uint16_t>(opt.port);
-  listener.linger_ms = opt.linger_ms;
   fleet::CoordinatorService service(campaign::load_spec_file(opt.spec_path),
-                                    coordinator, listener);
+                                    coordinator, opt.listener);
   if (opt.fleet == 0) {
     std::cout << "listening on 127.0.0.1:" << service.port() << std::endl;
     if (!opt.port_file.empty()) {
@@ -353,12 +224,10 @@ int cmd_fleet(const CliOptions& opt, int argc, char** argv) {
   return workers_ok ? 0 : 1;
 }
 
-int cmd_run_or_resume(const CliOptions& opt) {
+int cmd_run_or_resume(const CliOptions& opt, bool run) {
   obs::Registry::global().enable();
-  campaign::RunnerOptions runner;
-  runner.threads = opt.threads;
+  campaign::RunnerOptions runner = opt.runner;
   runner.dir = opt.dir;
-  runner.max_cells = opt.max_cells;
   if (opt.progress) runner.progress = obs::stderr_progress("campaign");
   exec::RunStats stats;
   if (opt.stats) runner.stats = &stats;
@@ -366,10 +235,9 @@ int cmd_run_or_resume(const CliOptions& opt) {
   if (!opt.trace_out.empty()) runner.spans = &spans;
 
   const campaign::CampaignResult result =
-      opt.command == "resume"
-          ? campaign::resume_campaign(opt.dir, runner)
-          : campaign::run_campaign(
-                campaign::load_spec_file(opt.spec_path), runner);
+      run ? campaign::run_campaign(campaign::load_spec_file(opt.spec_path),
+                                   runner)
+          : campaign::resume_campaign(opt.dir, runner);
 
   if (!opt.trace_out.empty()) {
     std::ofstream trace(opt.trace_out);
@@ -421,24 +289,19 @@ int cmd_print(const CliOptions& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Expected<CliOptions> parsed = parse_cli(argc, argv);
-  if (!parsed) {
-    std::cerr << parsed.error() << "\n";
-    return 2;
-  }
-  const CliOptions& opt = *parsed;
-  if (opt.command == "help") {
-    std::cout << kUsage;
-    return 0;
-  }
+  CliOptions opt;
+  const std::vector<cli::Command> table = commands(opt);
+  std::size_t chosen = 0;
+  if (const auto code = cli::parse(table, argc, argv, chosen)) return *code;
+  const std::string& command = table[chosen].name;
   try {
-    if (opt.command == "expand") return cmd_expand(opt);
-    if (opt.command == "print") return cmd_print(opt);
-    if (opt.command == "worker") return cmd_worker(opt);
-    if (opt.command == "coordinate" || opt.fleet > 0) {
+    if (command == "expand") return cmd_expand(opt);
+    if (command == "print") return cmd_print(opt);
+    if (command == "worker") return cmd_worker(opt);
+    if (command == "coordinate" || opt.fleet > 0) {
       return cmd_fleet(opt, argc, argv);
     }
-    return cmd_run_or_resume(opt);
+    return cmd_run_or_resume(opt, command == "run");
   } catch (const io::ParseError& e) {
     std::cerr << "ftmc_campaign: " << e.what() << "\n";
     return 2;

@@ -4,18 +4,19 @@
 ///
 /// Exit codes: 0 = all checks passed, 4 = property failures found,
 /// 2 = usage / input error, 1 = runtime failure.
+#include <algorithm>
 #include <climits>
-#include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "ftmc/check/harness.hpp"
-#include "ftmc/common/expected.hpp"
-#include "ftmc/common/parse.hpp"
+#include "ftmc/common/cli.hpp"
 #include "ftmc/exec/stats.hpp"
 #include "ftmc/io/parse_error.hpp"
 #include "ftmc/obs/progress.hpp"
@@ -25,54 +26,21 @@ namespace {
 
 using namespace ftmc;
 
-constexpr const char* kUsage = R"(usage: ftmc_check [options]
-
-Differential fuzzing of the schedulability analyses and PFH bounds:
-random task sets are drawn and every registered property is checked;
-failures are delta-debugged to minimal repros.
-
-options:
-  --cases N        number of cases to run (default 10000, at most
-                   100000000; longer runs use --budget-sec)
-  --budget-sec S   run until S seconds of wall clock are spent (cases
-                   then caps the run; default cap 10000000)
-  --seed N         base seed; every case replays from (seed, index)
-  --seed from-date seed = UTC date as YYYYMMDD (fresh corpus daily)
-  --family F       only properties of this family (repeatable):
-                   analysis-vs-sim | sufficient-vs-exact | pfh-metamorphic
-  --property P     only this property (repeatable; see --list)
-  --threads N      worker threads (0 = all hardware threads; default 0)
-  --repro-dir DIR  where shrunk repros are written (default check/repros)
-  --max-failures N record and shrink at most N failures (default 16)
-  --replay FILE    re-run the property stored in a repro file and exit
-  --inject-bug B   corrupt an analysis on purpose (self-test):
-                   drop-reexec-term
-  --list           list registered properties and exit
-  --progress       live progress meter on stderr
-  --stats          print run counters and metrics on completion
-)";
-
 /// A fixed-size run is one parallel wave that keeps a partial result per
 /// 16 cases; 1e8 cases (hours of work) bounds that storage to a few
 /// hundred MB.
 constexpr long long kMaxCases = 100'000'000;
 
 struct CliOptions {
-  std::uint64_t cases = 10'000;
-  bool cases_given = false;
-  double budget_sec = 0.0;
-  std::uint64_t seed = 1;
-  std::vector<std::string> families;
-  std::vector<std::string> properties;
-  int threads = 0;
+  CliOptions() { harness.threads = 0; }  // CLI: all hardware threads
+
+  check::HarnessOptions harness;
+  std::optional<std::uint64_t> cases;  ///< default: 1e4, or 1e7 with a budget
   std::string repro_dir = "check/repros";
-  std::size_t max_failures = 16;
   std::string replay_path;
-  check::InjectedBugs bugs;
   bool list = false;
   bool progress = false;
   bool stats = false;
-  bool help = false;
 };
 
 [[nodiscard]] std::uint64_t utc_date_seed() {
@@ -83,102 +51,76 @@ struct CliOptions {
                                     (utc.tm_mon + 1) * 100 + utc.tm_mday);
 }
 
-[[nodiscard]] Expected<CliOptions> parse_cli(int argc, char** argv) {
-  using Fail = Expected<CliOptions>;
-  CliOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> Expected<std::string> {
-      if (i + 1 >= argc) {
-        return Expected<std::string>::failure("ftmc_check: " + flag +
-                                              " expects a value");
-      }
-      return std::string(argv[++i]);
-    };
-    auto int_value = [&](long long min,
-                         long long max) -> Expected<long long> {
-      auto v = value();
-      if (!v) return Expected<long long>::failure(v.error());
-      auto n = parse_int(flag, *v, min, max);
-      if (!n) return Expected<long long>::failure("ftmc_check: " + n.error());
-      return n;
-    };
-    if (flag == "--help" || flag == "-h") {
-      opt.help = true;
-    } else if (flag == "--list") {
-      opt.list = true;
-    } else if (flag == "--progress") {
-      opt.progress = true;
-    } else if (flag == "--stats") {
-      opt.stats = true;
-    } else if (flag == "--cases") {
-      auto n = int_value(1, kMaxCases);
-      if (!n) return Fail::failure(n.error());
-      opt.cases = static_cast<std::uint64_t>(*n);
-      opt.cases_given = true;
-    } else if (flag == "--budget-sec") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      auto sec = parse_double(flag, *v);
-      if (!sec || *sec <= 0.0) {
-        return Fail::failure("ftmc_check: --budget-sec expects a positive "
-                             "number of seconds, got \"" + *v + "\"");
-      }
-      opt.budget_sec = *sec;
-    } else if (flag == "--seed") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      if (*v == "from-date") {
-        opt.seed = utc_date_seed();
-      } else {
-        auto n = parse_uint64(flag, *v);
-        if (!n) {
-          return Fail::failure("ftmc_check: " + n.error() +
-                               " (or 'from-date')");
-        }
-        opt.seed = *n;
-      }
-    } else if (flag == "--family") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      opt.families.push_back(*v);
-    } else if (flag == "--property") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      opt.properties.push_back(*v);
-    } else if (flag == "--threads") {
-      auto n = int_value(INT_MIN, INT_MAX);
-      if (!n) return Fail::failure(n.error());
-      opt.threads = static_cast<int>(*n);
-    } else if (flag == "--repro-dir") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      opt.repro_dir = *v;
-    } else if (flag == "--max-failures") {
-      auto n = int_value(0, LLONG_MAX);
-      if (!n) return Fail::failure(n.error());
-      opt.max_failures = static_cast<std::size_t>(*n);
-    } else if (flag == "--replay") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      opt.replay_path = *v;
-    } else if (flag == "--inject-bug") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      if (*v == "drop-reexec-term") {
-        opt.bugs.drop_reexec_term = true;
-      } else {
-        return Fail::failure("ftmc_check: unknown bug \"" + *v +
-                             "\" (known: drop-reexec-term)");
-      }
-    } else {
-      return Fail::failure("ftmc_check: unknown flag \"" + flag + "\"\n" +
-                           kUsage);
+[[nodiscard]] cli::Command flags(CliOptions& opt) {
+  std::vector<std::string> families;
+  std::vector<std::string> names;
+  for (const check::Property& p : check::all_properties()) {
+    names.emplace_back(p.name);
+    if (std::find(families.begin(), families.end(), p.family) ==
+        families.end()) {
+      families.emplace_back(p.family);
     }
   }
-  // Budget mode without an explicit case count: the budget decides.
-  if (opt.budget_sec > 0.0 && !opt.cases_given) opt.cases = 10'000'000;
-  return opt;
+  return {
+      .program = "ftmc_check",
+      .about = "Differential fuzzing of the schedulability analyses and PFH "
+               "bounds:\nrandom task sets are drawn and every registered "
+               "property is checked;\nfailures are delta-debugged to "
+               "minimal repros.",
+      .flags = {
+          cli::integer("--cases", opt.cases, 1, kMaxCases,
+                       "number of cases to run (default 10000, at most\n"
+                       "100000000; longer runs use --budget-sec)"),
+          cli::real("--budget-sec", opt.harness.budget_sec,
+                    std::numeric_limits<double>::denorm_min(),
+                    std::numeric_limits<double>::max(),
+                    "run until X seconds of wall clock are spent (cases\n"
+                    "then caps the run; default cap 10000000)"),
+          cli::Flag{
+              .name = "--seed",
+              .meta = "N",
+              .help = "base seed; every case replays from (seed, index);\n"
+                      "from-date: the UTC date as YYYYMMDD (a fresh\n"
+                      "corpus daily)",
+              .set = [&opt](std::string_view label, std::string_view text) {
+                if (text == "from-date") {
+                  opt.harness.seed = utc_date_seed();
+                  return std::string();
+                }
+                const Expected<std::uint64_t> n = parse_uint64(label, text);
+                if (n) opt.harness.seed = *n;
+                return n ? std::string() : n.error() + " (or from-date)";
+              }},
+          cli::text("--family", opt.harness.families, "F",
+                     "only properties of this family (repeatable)")
+              .one_of(std::move(families)),
+          cli::text("--property", opt.harness.properties, "P",
+                     "only this property (repeatable; see --list)")
+              .one_of(std::move(names)),
+          cli::integer("--threads", opt.harness.threads, INT_MIN, INT_MAX,
+                       "worker threads (0 = all hardware threads; default 0)"),
+          cli::text("--repro-dir", opt.repro_dir, "DIR",
+                    "where shrunk repros are written (default check/repros)"),
+          cli::integer("--max-failures", opt.harness.max_recorded_failures, 0,
+                       LLONG_MAX,
+                       "record and shrink at most N failures (default 16)"),
+          cli::text("--replay", opt.replay_path, "FILE",
+                    "re-run the property stored in a repro file and exit"),
+          cli::Flag{.name = "--inject-bug",
+                    .meta = "B",
+                    .help = "corrupt an analysis on purpose (self-test)",
+                    .choices = {"drop-reexec-term"},
+                    .set = [&opt](std::string_view, std::string_view) {
+                      opt.harness.bugs.drop_reexec_term = true;
+                      return std::string();
+                    }},
+          cli::toggle("--list", opt.list,
+                      "list registered properties and exit"),
+          cli::toggle("--progress", opt.progress,
+                      "live progress meter on stderr"),
+          cli::toggle("--stats", opt.stats,
+                      "print run counters and metrics on completion"),
+      }};
 }
 
 int cmd_list() {
@@ -204,7 +146,7 @@ int cmd_replay(const CliOptions& opt) {
   const check::Repro repro = check::parse_repro(text.str());
 
   check::PropertyContext ctx;
-  ctx.bugs = opt.bugs;
+  ctx.bugs = opt.harness.bugs;
   const check::Outcome outcome = check::replay_repro(repro, ctx);
   std::cout << "replay " << opt.replay_path << "\n"
             << "property: " << repro.property << " (" << repro.family
@@ -231,15 +173,10 @@ int cmd_replay(const CliOptions& opt) {
 }
 
 int cmd_run(const CliOptions& opt) {
-  check::HarnessOptions harness;
-  harness.seed = opt.seed;
-  harness.cases = opt.cases;
-  harness.budget_sec = opt.budget_sec;
-  harness.threads = opt.threads;
-  harness.families = opt.families;
-  harness.properties = opt.properties;
-  harness.bugs = opt.bugs;
-  harness.max_recorded_failures = opt.max_failures;
+  check::HarnessOptions harness = opt.harness;
+  // Budget mode without an explicit case count: the budget decides.
+  harness.cases =
+      opt.cases.value_or(harness.budget_sec > 0.0 ? 10'000'000 : 10'000);
   exec::RunStats stats;
   if (opt.stats) {
     obs::Registry::global().enable();
@@ -252,8 +189,8 @@ int cmd_run(const CliOptions& opt) {
 
   const std::uint64_t checks =
       result.checks_pass + result.checks_fail + result.checks_skip;
-  std::cout << "ftmc_check: seed=" << opt.seed
-            << (opt.bugs.any() ? " [BUG INJECTED: drop-reexec-term]" : "")
+  std::cout << "ftmc_check: seed=" << harness.seed
+            << (harness.bugs.any() ? " [BUG INJECTED: drop-reexec-term]" : "")
             << "\n"
             << result.cases_run << " cases x " << result.selected.size()
             << " properties = " << checks << " checks in "
@@ -295,16 +232,8 @@ int cmd_run(const CliOptions& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Expected<CliOptions> parsed = parse_cli(argc, argv);
-  if (!parsed) {
-    std::cerr << parsed.error() << "\n";
-    return 2;
-  }
-  const CliOptions& opt = *parsed;
-  if (opt.help) {
-    std::cout << kUsage;
-    return 0;
-  }
+  CliOptions opt;
+  if (const auto code = cli::parse(flags(opt), argc, argv)) return *code;
   if (opt.list) return cmd_list();
   try {
     if (!opt.replay_path.empty()) return cmd_replay(opt);

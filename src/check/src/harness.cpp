@@ -40,13 +40,11 @@ Outcome run_guarded(const Property& property, const Case& c,
 std::vector<const Property*> select_properties(
     const std::vector<std::string>& families,
     const std::vector<std::string>& properties) {
+  const std::vector<Property>& registry = all_properties();
   for (const std::string& f : families) {
-    const bool known = f == kFamilyAnalysisVsSim ||
-                       f == kFamilySufficientVsExact ||
-                       f == kFamilyPfhMetamorphic ||
-                       f == kFamilyTraceReplay ||
-                       f == kFamilyFastpathEquivalence;
-    FTMC_EXPECTS(known, "unknown property family: \"" + f + "\"");
+    FTMC_EXPECTS(std::any_of(registry.begin(), registry.end(),
+                             [&f](const Property& p) { return p.family == f; }),
+                 "unknown property family: \"" + f + "\"");
   }
   for (const std::string& p : properties) {
     FTMC_EXPECTS(find_property(p) != nullptr,

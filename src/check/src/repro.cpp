@@ -1,10 +1,12 @@
 #include "ftmc/check/repro.hpp"
 
+#include <climits>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "ftmc/common/contracts.hpp"
+#include "ftmc/common/parse.hpp"
 #include "ftmc/io/parse_error.hpp"
 #include "ftmc/io/taskset_io.hpp"
 
@@ -29,13 +31,17 @@ std::pair<std::string, std::string> parse_meta_line(
   return {line.substr(2, colon - 2), line.substr(colon + 2)};
 }
 
-std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  try {
-    return std::stoull(value);
-  } catch (const std::exception&) {
-    throw io::ParseError("repro metadata: bad integer for '" + key +
-                         "': \"" + value + "\"");
-  }
+/// A metadata value read by parse.hpp; a malformed or out-of-domain one
+/// is a ParseError naming the key.
+template <typename T>
+T checked(Expected<T> parsed) {
+  if (!parsed) throw io::ParseError("repro metadata: " + parsed.error());
+  return *parsed;
+}
+
+int parse_count(const std::string& key, const std::string& value,
+                int min) {
+  return static_cast<int>(checked(parse_int(key, value, min, INT_MAX)));
 }
 
 }  // namespace
@@ -69,7 +75,6 @@ Repro parse_repro(const std::string& text) {
   Repro repro;
   std::istringstream in(text);
   std::string line;
-  bool saw_df = false;
   while (std::getline(in, line)) {
     const auto [key, value] = parse_meta_line(line);
     if (key.empty()) continue;
@@ -80,32 +85,25 @@ Repro parse_repro(const std::string& text) {
     } else if (key == "message") {
       repro.message = value;
     } else if (key == "base-seed") {
-      repro.base_seed = parse_u64(key, value);
+      repro.base_seed = checked(parse_uint64(key, value));
     } else if (key == "case-index") {
-      repro.c.index = parse_u64(key, value);
+      repro.c.index = checked(parse_uint64(key, value));
     } else if (key == "case-seed") {
-      repro.c.seed = parse_u64(key, value);
+      repro.c.seed = checked(parse_uint64(key, value));
     } else if (key == "n-hi") {
-      repro.c.n_hi = static_cast<int>(parse_u64(key, value));
+      repro.c.n_hi = parse_count(key, value, 1);
     } else if (key == "n-lo") {
-      repro.c.n_lo = static_cast<int>(parse_u64(key, value));
+      repro.c.n_lo = parse_count(key, value, 1);
     } else if (key == "n-adapt") {
-      repro.c.n_adapt = static_cast<int>(parse_u64(key, value));
+      repro.c.n_adapt = parse_count(key, value, 0);
     } else if (key == "degradation-factor") {
-      try {
-        repro.c.degradation_factor = std::stod(value);
-      } catch (const std::exception&) {
-        throw io::ParseError(
-            "repro metadata: bad degradation-factor \"" + value + "\"");
-      }
-      saw_df = true;
+      repro.c.degradation_factor = checked(parse_double(key, value, 1.0));
     }
     // Unknown metadata keys are ignored: forward compatibility.
   }
   if (repro.property.empty()) {
     throw io::ParseError("repro file lacks a '# property: ...' line");
   }
-  (void)saw_df;
   // The task lines themselves; '#' metadata passes through as comments.
   repro.c.ts = io::parse_task_set_string(text);
   return repro;

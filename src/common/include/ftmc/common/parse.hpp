@@ -1,12 +1,12 @@
 /// \file parse.hpp
-/// \brief Strict number parsing for command-line flags and environment
-///        variables.
+/// \brief Strict number parsing for flags, FTMC_BENCH_* variables and
+///        repro metadata; cli.hpp's flag tables read every number here.
 ///
-/// The one parser every CLI uses: the whole token must be the number
-/// (std::from_chars — locale-independent, no leading whitespace or '+',
-/// no trailing junk), the value must fit the target type, and it must lie
-/// in the caller's domain. Errors name the flag ("--cases expects ..."),
-/// so a CLI prefixes its own name, prints them and exits 2.
+/// The whole token must be the number (std::from_chars — locale-
+/// independent, no leading whitespace or '+', no trailing junk), the value
+/// must fit the target type, and it must lie in the caller's domain.
+/// Errors name their source ("--cases expects ..."), so cli.hpp prefixes
+/// the binary's name, prints them and exits 2.
 #pragma once
 
 #include <cstdint>

@@ -20,8 +20,6 @@
 #include <cmath>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -32,7 +30,7 @@
 #include "common/experiment_util.hpp"
 #include "ftmc/check/blackbox.hpp"
 #include "ftmc/check/replay.hpp"
-#include "ftmc/common/parse.hpp"
+#include "ftmc/common/cli.hpp"
 #include "ftmc/core/conversion.hpp"
 #include "ftmc/fms/fms.hpp"
 #include "ftmc/mcs/edf_vd.hpp"
@@ -69,92 +67,47 @@ struct Options {
   std::string dump_blackbox;
 };
 
-void usage() {
-  std::cout <<
-      "ftmc_rtdemo — FMS case study on the ftmc::rt core, POSIX host\n"
-      "\n"
-      "  --scale S        wall seconds per simulated second, 0..1000\n"
-      "                   (default 0.001 = 1000x fast-forward; 0 = free-run)\n"
-      "  --horizon-ms N   simulated horizon in ms, 1..1e9 (default 10000)\n"
-      "  --seed N         RNG seed for the fault model (default 1)\n"
-      "  --adaptation A   kill | degrade (default degrade)\n"
-      "  --df X           degradation factor d_f >= 1 (default 6, the FMS\n"
-      "                   value)\n"
-      "  --faults F       none | bernoulli | adversary (default bernoulli)\n"
-      "  --fault-prob P   per-attempt fault probability in [0, 1)\n"
-      "                   (default 0.02)\n"
-      "  --mode-reset     return to LO mode at idle instants\n"
-      "  --trace-out F    write the trace as CSV\n"
-      "  --chrome-out F   write the trace as Chrome trace JSON\n"
-      "  --dump-blackbox F  write the core's flight recorder as a\n"
-      "                   ftmc-blackbox-v1 JSON dump\n"
-      "  --telemetry      write BENCH_ftmc_rtdemo.json (FTMC_BENCH_DIR)\n"
-      "  --verify         replay the run and the flight-recorder dump\n"
-      "                   through the simulator host; exit non-zero if\n"
-      "                   any event diverges\n"
-      "  --quiet          suppress the run summary\n";
-}
-
-bool parse_args(int argc, char** argv, Options& opt) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "ftmc_rtdemo: missing value for " << arg << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    // Every number is parsed whole and checked against its domain; a bad
-    // one ends the run with exit code 2 and a message naming the flag.
-    const auto checked = [](auto parsed) {
-      if (!parsed) {
-        std::cerr << "ftmc_rtdemo: " << parsed.error() << "\n";
-        std::exit(2);
-      }
-      return *parsed;
-    };
-    if (arg == "--help" || arg == "-h") {
-      usage();
-      std::exit(0);
-    } else if (arg == "--scale") {
-      opt.scale = checked(ftmc::parse_double(arg, value(), 0.0, kMaxScale));
-    } else if (arg == "--horizon-ms") {
-      opt.horizon_ms =
-          checked(ftmc::parse_int(arg, value(), 1, kMaxHorizonMs));
-    } else if (arg == "--seed") {
-      opt.seed = checked(ftmc::parse_uint64(arg, value()));
-    } else if (arg == "--adaptation") {
-      opt.adaptation = value();
-    } else if (arg == "--df") {
-      opt.degradation_factor =
-          checked(ftmc::parse_double(arg, value(), 1.0, 1e6));
-    } else if (arg == "--faults") {
-      opt.faults = value();
-    } else if (arg == "--fault-prob") {
-      // A per-attempt probability, and < 1: a certain fault is no model.
-      opt.fault_prob = checked(
-          ftmc::parse_double(arg, value(), 0.0, std::nextafter(1.0, 0.0)));
-    } else if (arg == "--mode-reset") {
-      opt.mode_reset = true;
-    } else if (arg == "--verify") {
-      opt.verify = true;
-    } else if (arg == "--quiet") {
-      opt.quiet = true;
-    } else if (arg == "--telemetry") {
-      opt.telemetry = true;
-    } else if (arg == "--trace-out") {
-      opt.trace_out = value();
-    } else if (arg == "--chrome-out") {
-      opt.chrome_out = value();
-    } else if (arg == "--dump-blackbox") {
-      opt.dump_blackbox = value();
-    } else {
-      std::cerr << "unknown option " << arg << "\n";
-      return false;
-    }
-  }
-  return true;
+[[nodiscard]] ftmc::cli::Command flags(Options& opt) {
+  namespace cli = ftmc::cli;
+  return {
+      .program = "ftmc_rtdemo",
+      .about = "The FMS case study on the ftmc::rt core, POSIX host.",
+      .flags = {
+          cli::real("--scale", opt.scale, 0.0, kMaxScale,
+                    "wall seconds per simulated second, 0..1000\n"
+                    "(default 0.001 = 1000x fast-forward; 0 = free-run)"),
+          cli::integer("--horizon-ms", opt.horizon_ms, 1, kMaxHorizonMs,
+                       "simulated horizon in ms, 1..1e9 (default 10000)"),
+          cli::uint64("--seed", opt.seed,
+                      "RNG seed for the fault model (default 1)"),
+          cli::text("--adaptation", opt.adaptation, "A",
+                    "adaptation mechanism (default degrade)")
+              .one_of({"kill", "degrade"}),
+          cli::real("--df", opt.degradation_factor, 1.0, 1e6,
+                    "degradation factor d_f >= 1 (default 6, as the FMS)"),
+          cli::text("--faults", opt.faults, "F",
+                    "fault model (default bernoulli)")
+              .one_of({"none", "bernoulli", "adversary"}),
+          // A per-attempt probability, and < 1: a certain fault is no
+          // model.
+          cli::real("--fault-prob", opt.fault_prob, 0.0,
+                    std::nextafter(1.0, 0.0),
+                    "per-attempt fault probability in [0, 1) (default 0.02)"),
+          cli::toggle("--mode-reset", opt.mode_reset,
+                      "return to LO mode at idle instants"),
+          cli::text("--trace-out", opt.trace_out, "FILE",
+                    "write the trace as CSV"),
+          cli::text("--chrome-out", opt.chrome_out, "FILE",
+                    "write the trace as Chrome trace JSON"),
+          cli::text("--dump-blackbox", opt.dump_blackbox, "FILE",
+                    "write the flight recorder as a ftmc-blackbox-v1 dump"),
+          cli::toggle("--telemetry", opt.telemetry,
+                      "write BENCH_ftmc_rtdemo.json (FTMC_BENCH_DIR)"),
+          cli::toggle("--verify", opt.verify,
+                      "replay the run and the flight recorder through the\n"
+                      "simulator host; exit non-zero on any divergence"),
+          cli::toggle("--quiet", opt.quiet, "suppress the run summary"),
+      }};
 }
 
 // SIGINT path: the handler may only call the async-signal-safe
@@ -169,9 +122,8 @@ extern "C" void handle_sigint(int) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) {
-    usage();
-    return 2;
+  if (const auto code = ftmc::cli::parse(flags(opt), argc, argv)) {
+    return *code;
   }
 
   namespace fms = ftmc::fms;
@@ -198,27 +150,18 @@ int main(int argc, char** argv) {
   if (opt.adaptation == "kill") {
     cfg.core.adaptation = rt::Adaptation::kKilling;
     cfg.core.degradation_factor = 1.0;
-  } else if (opt.adaptation == "degrade") {
+  } else {
     cfg.core.adaptation = rt::Adaptation::kDegradation;
     cfg.core.degradation_factor = opt.degradation_factor;
-  } else {
-    std::cerr << "unknown adaptation '" << opt.adaptation << "'\n";
-    return 2;
   }
   cfg.core.mode_reset_on_idle = opt.mode_reset;
   cfg.horizon = opt.horizon_ms * 1000;  // ms -> ticks (us)
   cfg.time_scale = opt.scale;
   cfg.seed = opt.seed;
-  if (opt.faults == "none") {
-    cfg.fault_model = rt::FaultModel::kNone;
-  } else if (opt.faults == "bernoulli") {
-    cfg.fault_model = rt::FaultModel::kBernoulli;
-  } else if (opt.faults == "adversary") {
-    cfg.fault_model = rt::FaultModel::kExhaustBudget;
-  } else {
-    std::cerr << "unknown fault model '" << opt.faults << "'\n";
-    return 2;
-  }
+  cfg.fault_model = opt.faults == "none" ? rt::FaultModel::kNone
+                    : opt.faults == "bernoulli"
+                        ? rt::FaultModel::kBernoulli
+                        : rt::FaultModel::kExhaustBudget;
   cfg.trace_capacity = 1 << 22;
   // Generous ring for post-mortems; the dump stays replayable even when
   // a long run wraps it (records carry their own sequence numbers).

@@ -16,14 +16,12 @@
 /// Exit codes: 0 = clean shutdown, 2 = usage error, 1 = runtime failure.
 #include <climits>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <iterator>
 #include <string>
 
-#include "ftmc/common/expected.hpp"
-#include "ftmc/common/parse.hpp"
+#include "ftmc/common/cli.hpp"
 #include "ftmc/obs/exposition.hpp"
 #include "ftmc/obs/registry.hpp"
 #include "ftmc/serve/expose.hpp"
@@ -34,22 +32,6 @@ namespace {
 
 using namespace ftmc;
 
-constexpr const char* kUsage = R"(usage: ftmc_serve [options]
-
-options:
-  --port N             TCP port (default 0 = ephemeral; printed on start)
-  --bind ADDR          bind address (default 127.0.0.1)
-  --threads N          worker threads per batch (1 = serial, 0 = all)
-  --cache-entries N    answer-cache capacity (0 = unbounded)
-  --max-frame-bytes N  frame payload ceiling (default 16 MiB)
-  --stdin              one-shot: read one request from stdin, answer on
-                       stdout, exit (no sockets)
-  --obs-export         one-shot: read a JSON metrics snapshot from stdin,
-                       print it as Prometheus text exposition, exit
-  --trace-out FILE     write the request spans as a Chrome trace on exit
-                       (open in Perfetto; --stdin and TCP modes)
-)";
-
 struct CliOptions {
   serve::ServerOptions server;
   serve::TcpOptions tcp;
@@ -58,63 +40,30 @@ struct CliOptions {
   std::string trace_out;
 };
 
-[[nodiscard]] Expected<CliOptions> parse_cli(int argc, char** argv) {
-  using Fail = Expected<CliOptions>;
-  CliOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> Expected<std::string> {
-      if (i + 1 >= argc) {
-        return Expected<std::string>::failure("ftmc_serve: " + flag +
-                                              " expects a value");
-      }
-      return std::string(argv[++i]);
-    };
-    auto int_value = [&](long long min,
-                         long long max) -> Expected<long long> {
-      auto v = value();
-      if (!v) return Expected<long long>::failure(v.error());
-      auto n = parse_int(flag, *v, min, max);
-      if (!n) return Expected<long long>::failure("ftmc_serve: " + n.error());
-      return n;
-    };
-    if (flag == "--help" || flag == "-h") {
-      std::cout << kUsage;
-      std::exit(0);
-    } else if (flag == "--stdin") {
-      opt.stdin_mode = true;
-    } else if (flag == "--obs-export") {
-      opt.obs_export = true;
-    } else if (flag == "--trace-out") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      opt.trace_out = *v;
-    } else if (flag == "--port") {
-      auto n = int_value(0, 65535);
-      if (!n) return Fail::failure(n.error());
-      opt.tcp.port = static_cast<std::uint16_t>(*n);
-    } else if (flag == "--bind") {
-      auto v = value();
-      if (!v) return Fail::failure(v.error());
-      opt.tcp.bind_address = *v;
-    } else if (flag == "--threads") {
-      auto n = int_value(INT_MIN, INT_MAX);
-      if (!n) return Fail::failure(n.error());
-      opt.server.threads = static_cast<int>(*n);
-    } else if (flag == "--cache-entries") {
-      auto n = int_value(0, LLONG_MAX);
-      if (!n) return Fail::failure(n.error());
-      opt.server.cache_entries = static_cast<std::size_t>(*n);
-    } else if (flag == "--max-frame-bytes") {
-      auto n = int_value(4, LLONG_MAX);
-      if (!n) return Fail::failure(n.error());
-      opt.server.max_frame_bytes = static_cast<std::size_t>(*n);
-    } else {
-      return Fail::failure("ftmc_serve: unknown flag \"" + flag + "\"\n" +
-                           kUsage);
-    }
-  }
-  return opt;
+[[nodiscard]] cli::Command flags(CliOptions& opt) {
+  return {
+      .program = "ftmc_serve",
+      .flags = {
+          cli::integer("--port", opt.tcp.port, 0, 65535,
+                       "TCP port (default 0 = ephemeral; printed on start)"),
+          cli::text("--bind", opt.tcp.bind_address, "ADDR",
+                    "bind address (default 127.0.0.1)"),
+          cli::integer("--threads", opt.server.threads, INT_MIN, INT_MAX,
+                       "worker threads per batch (1 = serial, 0 = all)"),
+          cli::integer("--cache-entries", opt.server.cache_entries, 0,
+                       LLONG_MAX, "answer-cache capacity (0 = unbounded)"),
+          cli::integer("--max-frame-bytes", opt.server.max_frame_bytes, 4,
+                       LLONG_MAX, "frame payload ceiling (default 16 MiB)"),
+          cli::toggle("--stdin", opt.stdin_mode,
+                      "one-shot: read one request from stdin, answer on\n"
+                      "stdout, exit (no sockets)"),
+          cli::toggle("--obs-export", opt.obs_export,
+                      "one-shot: read a JSON metrics snapshot from stdin,\n"
+                      "print it as Prometheus text exposition, exit"),
+          cli::text("--trace-out", opt.trace_out, "FILE",
+                    "write the request spans as a Chrome trace on exit\n"
+                    "(open in Perfetto; --stdin and TCP modes)"),
+      }};
 }
 
 // Signal handlers may only touch this through async-signal-safe
@@ -180,15 +129,12 @@ int run_tcp(const CliOptions& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Expected<CliOptions> parsed = parse_cli(argc, argv);
-  if (!parsed) {
-    std::cerr << parsed.error() << "\n";
-    return 2;
-  }
+  CliOptions opt;
+  if (const auto code = cli::parse(flags(opt), argc, argv)) return *code;
   obs::Registry::global().enable();
   try {
-    if (parsed->obs_export) return run_obs_export();
-    return parsed->stdin_mode ? run_stdin(*parsed) : run_tcp(*parsed);
+    if (opt.obs_export) return run_obs_export();
+    return opt.stdin_mode ? run_stdin(opt) : run_tcp(opt);
   } catch (const std::exception& e) {
     std::cerr << "ftmc_serve: " << e.what() << "\n";
     return 1;

@@ -1,5 +1,5 @@
-/// Strict CLI/env parsing of the bench binaries: unknown flags, missing
-/// values and malformed numbers are errors (exit non-zero), never
+/// Strict CLI/env parsing of the sweep benches' table: unknown flags,
+/// missing values and malformed numbers are usage errors (exit 2), never
 /// silently ignored input. Registered from bench/CMakeLists.txt because
 /// it links ftmc_bench_common.
 #include "common/experiment_util.hpp"
@@ -8,28 +8,30 @@
 
 #include <cstdlib>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 namespace ftmc::bench {
 namespace {
 
-/// argv builder ({"prog", flags...}; keeps storage alive).
-class Argv {
- public:
-  explicit Argv(std::vector<std::string> args) : strings_(std::move(args)) {
-    strings_.insert(strings_.begin(), "bench_test");
-    for (std::string& s : strings_) pointers_.push_back(s.data());
-  }
-  [[nodiscard]] int argc() const {
-    return static_cast<int>(pointers_.size());
-  }
-  [[nodiscard]] char** argv() { return pointers_.data(); }
-
- private:
-  std::vector<std::string> strings_;
-  std::vector<char*> pointers_;
-};
+/// Parses {"bench_test", args...} against the sweep benches' table;
+/// the error is what the parser printed.
+Expected<BenchOverrides> parse_bench_args(
+    std::vector<std::string> args, bool campaign_flags = false) {
+  args.insert(args.begin(), "bench_test");
+  std::vector<const char*> argv;
+  for (const std::string& a : args) argv.push_back(a.c_str());
+  BenchOverrides overrides;
+  std::ostringstream out, err;
+  const std::optional<int> code =
+      cli::parse(bench_flags("bench_test", overrides, campaign_flags),
+                 static_cast<int>(argv.size()), argv.data(), out, err);
+  if (!code) return overrides;
+  EXPECT_EQ(code, 2);
+  EXPECT_EQ(err.str().rfind("bench_test: ", 0), 0u) << err.str();
+  return Expected<BenchOverrides>::failure(err.str());
+}
 
 /// Scoped environment override (unset when `value` is nullopt).
 class ScopedEnv {
@@ -60,10 +62,9 @@ class ScopedEnv {
 TEST(BenchOverridesParse, ParsesAllKnownFlags) {
   ScopedEnv no_sets("FTMC_BENCH_SETS", std::nullopt);
   ScopedEnv no_threads("FTMC_BENCH_THREADS", std::nullopt);
-  Argv argv({"--sets", "25", "--seed", "18446744073709551615", "--threads",
-             "4", "--progress"});
-  const Expected<BenchOverrides> parsed =
-      parse_bench_overrides(argv.argc(), argv.argv());
+  const Expected<BenchOverrides> parsed = parse_bench_args(
+      {"--sets", "25", "--seed", "18446744073709551615", "--threads", "4",
+       "--progress"});
   ASSERT_TRUE(parsed.ok()) << parsed.error();
   EXPECT_EQ(parsed->sets, 25);
   EXPECT_EQ(parsed->seed, 18446744073709551615ULL);
@@ -74,54 +75,39 @@ TEST(BenchOverridesParse, ParsesAllKnownFlags) {
 TEST(BenchOverridesParse, CampaignFlagsAreOptIn) {
   ScopedEnv no_sets("FTMC_BENCH_SETS", std::nullopt);
   ScopedEnv no_threads("FTMC_BENCH_THREADS", std::nullopt);
-  Argv spec_flag({"--spec", "custom.json", "--out", "runs/a"});
   const auto rejected =
-      parse_bench_overrides(spec_flag.argc(), spec_flag.argv());
+      parse_bench_args({"--spec", "custom.json", "--out", "runs/a"});
   EXPECT_FALSE(rejected.ok());
 
-  Argv again({"--spec", "custom.json", "--out", "runs/a"});
-  const auto allowed = parse_bench_overrides(again.argc(), again.argv(),
-                                             /*allow_campaign_flags=*/true);
+  const auto allowed =
+      parse_bench_args({"--spec", "custom.json", "--out", "runs/a"},
+                            /*campaign_flags=*/true);
   ASSERT_TRUE(allowed.ok()) << allowed.error();
   EXPECT_EQ(allowed->spec, "custom.json");
   EXPECT_EQ(allowed->out, "runs/a");
 }
 
 TEST(BenchOverridesParse, RejectsUnknownFlag) {
-  Argv argv({"--stes", "25"});  // typo
-  const auto parsed = parse_bench_overrides(argv.argc(), argv.argv());
+  const auto parsed = parse_bench_args({"--stes", "25"});  // typo
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.error().find("--stes"), std::string::npos);
 }
 
 TEST(BenchOverridesParse, RejectsMissingAndMalformedValues) {
-  Argv missing({"--sets"});
-  EXPECT_FALSE(parse_bench_overrides(missing.argc(), missing.argv()).ok());
-
-  Argv trailing({"--sets", "25x"});
+  EXPECT_FALSE(parse_bench_args({"--sets"}).ok());
+  EXPECT_FALSE(parse_bench_args({"--sets", "25x"}).ok());
+  EXPECT_FALSE(parse_bench_args({"--sets", "0"}).ok());
   EXPECT_FALSE(
-      parse_bench_overrides(trailing.argc(), trailing.argv()).ok());
-
-  Argv negative({"--sets", "0"});
-  EXPECT_FALSE(
-      parse_bench_overrides(negative.argc(), negative.argv()).ok());
-
-  Argv overflow({"--seed", "99999999999999999999"});
-  EXPECT_FALSE(
-      parse_bench_overrides(overflow.argc(), overflow.argv()).ok());
-
-  Argv bad_threads({"--threads", "many"});
-  EXPECT_FALSE(
-      parse_bench_overrides(bad_threads.argc(), bad_threads.argv()).ok());
+      parse_bench_args({"--seed", "99999999999999999999"}).ok());
+  EXPECT_FALSE(parse_bench_args({"--threads", "many"}).ok());
 }
 
 TEST(BenchOverridesParse, EnvironmentWinsOverCli) {
   // Historical CI contract: FTMC_BENCH_SETS/THREADS override the CLI.
   ScopedEnv sets("FTMC_BENCH_SETS", "11");
   ScopedEnv threads("FTMC_BENCH_THREADS", "2");
-  Argv argv({"--sets", "7", "--threads", "5"});
   const Expected<BenchOverrides> parsed =
-      parse_bench_overrides(argv.argc(), argv.argv());
+      parse_bench_args({"--sets", "7", "--threads", "5"});
   ASSERT_TRUE(parsed.ok()) << parsed.error();
   EXPECT_EQ(parsed->sets, 11);
   EXPECT_EQ(parsed->threads, 2);
@@ -130,9 +116,7 @@ TEST(BenchOverridesParse, EnvironmentWinsOverCli) {
 TEST(BenchOverridesParse, MalformedEnvironmentIsAnErrorNotADefault) {
   ScopedEnv sets("FTMC_BENCH_SETS", "lots");
   ScopedEnv no_threads("FTMC_BENCH_THREADS", std::nullopt);
-  Argv argv({});
-  const Expected<BenchOverrides> parsed =
-      parse_bench_overrides(argv.argc(), argv.argv());
+  const Expected<BenchOverrides> parsed = parse_bench_args({});
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.error().find("FTMC_BENCH_SETS"), std::string::npos);
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "ftmc/check/harness.hpp"
+#include "ftmc/io/parse_error.hpp"
 #include "ftmc/io/taskset_io.hpp"
 
 namespace ftmc::check {
@@ -105,6 +106,43 @@ TEST(Harness, InjectedBugIsFoundShrunkAndReplayable) {
     EXPECT_EQ(replay_repro(repro, buggy).verdict, Verdict::kFail)
         << f.property;
   }
+}
+
+TEST(Harness, ReproMetadataIsReadStrictly) {
+  HarnessOptions opt;
+  opt.seed = 5;
+  opt.cases = 150;
+  opt.bugs.drop_reexec_term = true;
+  opt.max_recorded_failures = 1;
+  const HarnessResult r = run_harness(opt);
+  ASSERT_EQ(r.failures.size(), 1u);
+  const std::string text = repro_to_string(r.failures.front());
+  const std::string n_hi =
+      "# n-hi: " + std::to_string(r.failures.front().minimal.n_hi) + "\n";
+  ASSERT_NE(text.find(n_hi), std::string::npos) << text;
+
+  // A hand-edited value outside the domain, with trailing junk, or too
+  // large for an int is a parse error naming the key, never a replay.
+  for (const char* bad : {"-1", "3abc", "4294967299", "0", ""}) {
+    std::string edited = text;
+    edited.replace(edited.find(n_hi), n_hi.size(),
+                   std::string("# n-hi: ") + bad + "\n");
+    try {
+      (void)parse_repro(edited);
+      ADD_FAILURE() << "n-hi \"" << bad << "\" was accepted";
+    } catch (const io::ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("n-hi"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* bad : {"0.5", "nan", "inf", "2x"}) {
+    std::string edited = text + "# degradation-factor: " + bad + "\n";
+    EXPECT_THROW((void)parse_repro(edited), io::ParseError) << bad;
+  }
+  EXPECT_THROW((void)parse_repro(text + "# n-adapt: -1\n"), io::ParseError);
+  EXPECT_THROW((void)parse_repro(text + "# case-seed: -1\n"),
+               io::ParseError);
+  EXPECT_EQ(parse_repro(text + "# n-adapt: 0\n").c.n_adapt, 0);
 }
 
 TEST(Harness, FailureRecordingHonorsTheCap) {

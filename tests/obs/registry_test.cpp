@@ -138,7 +138,7 @@ TEST(Histogram, QuantileInterpolatesInsideBucket) {
 
 TEST(Histogram, QuantileEdgeCases) {
   Registry reg;
-  Histogram empty = reg.histogram("test.empty", {1.0});
+  (void)reg.histogram("test.empty", {1.0});
   EXPECT_DOUBLE_EQ(reg.snapshot().histograms[0].quantile(0.5), 0.0);
 
   Histogram over = reg.histogram("test.overflow", {1.0});
