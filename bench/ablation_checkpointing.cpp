@@ -7,14 +7,17 @@
 /// and overhead levels.
 #include <iostream>
 
-#include "common/experiment_util.hpp"
+#include "ftmc/common/cli.hpp"
 #include "ftmc/core/checkpointing.hpp"
 #include "ftmc/core/profiles.hpp"
 #include "ftmc/io/table.hpp"
+#include "ftmc/obs/bench_report.hpp"
 
 int main(int argc, char** argv) {
   using namespace ftmc;
-  bench::BenchReport report("ablation_checkpointing", argc, argv);
+  const cli::Command flags{.program = "ablation_checkpointing"};
+  if (const auto code = cli::parse(flags, argc, argv)) return *code;
+  obs::BenchReport report("ablation_checkpointing", argc, argv);
   core::FtTaskSet ts(
       {core::FtTask{"tau1", 60.0, 60.0, 5.0, Dal::B, 1e-4},
        core::FtTask{"tau2", 25.0, 25.0, 4.0, Dal::B, 1e-4}},

@@ -8,15 +8,18 @@
 #include <iostream>
 #include <limits>
 
-#include "common/experiment_util.hpp"
+#include "ftmc/common/cli.hpp"
 #include "ftmc/core/ft_scheduler.hpp"
 #include "ftmc/core/heterogeneous.hpp"
 #include "ftmc/fms/fms.hpp"
 #include "ftmc/io/table.hpp"
+#include "ftmc/obs/bench_report.hpp"
 
 int main(int argc, char** argv) {
   using namespace ftmc;
-  bench::BenchReport report("ablation_df_sweep", argc, argv);
+  const cli::Command flags{.program = "ablation_df_sweep"};
+  if (const auto code = cli::parse(flags, argc, argv)) return *code;
+  obs::BenchReport report("ablation_df_sweep", argc, argv);
   const core::FtTaskSet fms = fms::canonical_fms_instance();
   const int n_hi = 3, n_lo = 2;
   const double u_lo_lo = n_lo * fms.utilization(CritLevel::LO);

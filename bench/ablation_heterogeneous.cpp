@@ -7,11 +7,12 @@
 #include <cmath>
 #include <iostream>
 
-#include "common/experiment_util.hpp"
+#include "ftmc/common/cli.hpp"
 #include "ftmc/core/ft_scheduler.hpp"
 #include "ftmc/core/heterogeneous.hpp"
 #include "ftmc/fms/fms.hpp"
 #include "ftmc/io/table.hpp"
+#include "ftmc/obs/bench_report.hpp"
 #include "ftmc/taskgen/generator.hpp"
 
 namespace {
@@ -53,7 +54,9 @@ void compare(const char* label, const core::FtTaskSet& ts, int n_hi,
 }  // namespace
 
 int main(int argc, char** argv) {
-  ftmc::bench::BenchReport report("ablation_heterogeneous", argc, argv);
+  const ftmc::cli::Command flags{.program = "ablation_heterogeneous"};
+  if (const auto code = ftmc::cli::parse(flags, argc, argv)) return *code;
+  ftmc::obs::BenchReport report("ablation_heterogeneous", argc, argv);
   std::cout << "=== Ablation — uniform vs heterogeneous adaptation "
                "profiles ===\n\n";
 

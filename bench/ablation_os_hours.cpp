@@ -8,14 +8,17 @@
 #include <cmath>
 #include <iostream>
 
-#include "common/experiment_util.hpp"
+#include "ftmc/common/cli.hpp"
 #include "ftmc/core/ft_scheduler.hpp"
 #include "ftmc/fms/fms.hpp"
 #include "ftmc/io/table.hpp"
+#include "ftmc/obs/bench_report.hpp"
 
 int main(int argc, char** argv) {
   using namespace ftmc;
-  bench::BenchReport report("ablation_os_hours", argc, argv);
+  const cli::Command flags{.program = "ablation_os_hours"};
+  if (const auto code = cli::parse(flags, argc, argv)) return *code;
+  obs::BenchReport report("ablation_os_hours", argc, argv);
   const core::FtTaskSet fms = fms::canonical_fms_instance();
   const auto reqs = core::SafetyRequirements::do178b();
   const int n_hi = 3, n_lo = 2, n_adapt = 2;

@@ -8,6 +8,7 @@
 #include "common/experiment_util.hpp"
 #include "ftmc/core/ft_scheduler.hpp"
 #include "ftmc/io/table.hpp"
+#include "ftmc/obs/bench_report.hpp"
 #include "ftmc/taskgen/generator.hpp"
 
 int main(int argc, char** argv) {
@@ -16,7 +17,7 @@ int main(int argc, char** argv) {
   const cli::Command flags{.program = "ablation_safety_standards",
                            .flags = {bench::sets_flag(sets)}};
   if (const auto code = cli::parse(flags, argc, argv)) return *code;
-  bench::BenchReport report("ablation_safety_standards", argc, argv);
+  obs::BenchReport report("ablation_safety_standards", argc, argv);
 
   const std::vector<core::SafetyRequirements> standards = {
       core::SafetyRequirements::do178b(),

@@ -13,6 +13,7 @@
 #include "ftmc/mcs/fixed_priority.hpp"
 #include "ftmc/mcs/mc_dbf.hpp"
 #include "ftmc/mcs/opa.hpp"
+#include "ftmc/obs/bench_report.hpp"
 #include "ftmc/taskgen/generator.hpp"
 
 int main(int argc, char** argv) {
@@ -21,7 +22,7 @@ int main(int argc, char** argv) {
   const cli::Command flags{.program = "ablation_scheduler_comparison",
                            .flags = {bench::sets_flag(sets)}};
   if (const auto code = cli::parse(flags, argc, argv)) return *code;
-  bench::BenchReport report("ablation_scheduler_comparison", argc, argv);
+  obs::BenchReport report("ablation_scheduler_comparison", argc, argv);
 
   struct Entry {
     const char* label;

@@ -1,115 +1,14 @@
 #include "experiment_util.hpp"
 
 #include <climits>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 
-#include "ftmc/io/json.hpp"
+#include "ftmc/io/parse_error.hpp"
 #include "ftmc/io/table.hpp"
-#include "ftmc/obs/registry.hpp"
+#include "ftmc/obs/bench_report.hpp"
 
 namespace ftmc::bench {
-
-BenchReport::BenchReport(std::string name, int argc, char** argv)
-    : name_(std::move(name)), t0_(std::chrono::steady_clock::now()) {
-  for (int i = 0; i < argc; ++i) argv_.emplace_back(argv[i]);
-  // Benches always collect library metrics; the snapshot rides along in
-  // the report (library hot paths stay near-free — see registry.hpp).
-  obs::Registry::global().enable();
-}
-
-void BenchReport::set_items(double items, std::string unit) {
-  items_ = items;
-  items_unit_ = std::move(unit);
-}
-
-void BenchReport::set_items_measured(double items, double measured_seconds,
-                                     std::string unit) {
-  items_ = items;
-  measured_seconds_ = measured_seconds;
-  items_unit_ = std::move(unit);
-}
-
-void BenchReport::note_number(std::string_view key, double value) {
-  notes_.emplace_back(std::string(key), io::json::number(value));
-}
-
-void BenchReport::note_string(std::string_view key,
-                              std::string_view value) {
-  notes_.emplace_back(std::string(key),
-                      "\"" + io::json::escape(value) + "\"");
-}
-
-double BenchReport::wall_seconds() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       t0_)
-      .count();
-}
-
-std::string BenchReport::path() const {
-  std::string dir = ".";
-  if (const char* env = std::getenv("FTMC_BENCH_DIR")) {
-    if (*env != '\0') dir = env;
-  }
-  return dir + "/BENCH_" + name_ + ".json";
-}
-
-void BenchReport::write() {
-  if (written_) return;
-  written_ = true;
-
-  const double wall = wall_seconds();
-  io::json::Object doc;
-  doc.add_string("name", name_);
-  {
-    std::vector<std::string> args;
-    args.reserve(argv_.size());
-    for (const std::string& a : argv_) {
-      args.push_back("\"" + io::json::escape(a) + "\"");
-    }
-    doc.add_raw("argv", io::json::array(args));
-  }
-  doc.add_int("hardware_threads",
-              static_cast<long long>(std::thread::hardware_concurrency()));
-  doc.add_number("wall_seconds", wall);
-  if (items_ >= 0.0) {
-    doc.add_number("items", items_);
-    doc.add_string("items_unit", items_unit_);
-    const double rate_window = measured_seconds_ > 0.0 ? measured_seconds_
-                                                       : wall;
-    if (measured_seconds_ > 0.0) {
-      doc.add_number("measured_seconds", measured_seconds_);
-    }
-    doc.add_number("items_per_sec",
-                   rate_window > 0.0 ? items_ / rate_window : 0.0);
-  }
-  if (!notes_.empty()) {
-    io::json::Object notes;
-    for (const auto& [key, raw] : notes_) notes.add_raw(key, raw);
-    doc.add_raw("notes", notes.str());
-  }
-  doc.add_raw("metrics", obs::Registry::global().snapshot_json());
-
-  const std::string out_path = path();
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "BenchReport: cannot write " << out_path << "\n";
-    return;
-  }
-  out << doc.str() << "\n";
-  std::cerr << "telemetry: " << out_path << "\n";
-}
-
-BenchReport::~BenchReport() {
-  try {
-    write();
-  } catch (...) {
-    // A telemetry failure must never take down the bench's exit path.
-  }
-}
 
 std::vector<Fig3Point> fig3_points_from(
     const campaign::CampaignResult& result) {
@@ -196,7 +95,7 @@ int fig3_campaign_main(const char* bench_name,
   const cli::Command flags =
       bench_flags(bench_name, overrides, /*campaign_flags=*/true);
   if (const auto code = cli::parse(flags, argc, argv)) return *code;
-  BenchReport report(bench_name, argc, argv);
+  obs::BenchReport report(bench_name, argc, argv);
   try {
     campaign::CampaignSpec spec = campaign::load_spec_file(overrides.spec);
     if (overrides.sets > 0) spec.sets_per_point = overrides.sets;

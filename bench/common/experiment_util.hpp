@@ -1,11 +1,10 @@
 /// \file experiment_util.hpp
 /// \brief Shared helpers for the reproduction benches: the Fig. 3
-///        acceptance-ratio experiment driver (now a thin veneer over
-///        ftmc::campaign), per-binary telemetry (BENCH_<name>.json) and
-///        small printing utilities.
+///        acceptance-ratio experiment driver (a thin veneer over
+///        ftmc::campaign) and the sweep benches' flag table. Telemetry
+///        (BENCH_<name>.json) is ftmc/obs/bench_report.hpp.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -19,51 +18,6 @@
 #include "ftmc/taskgen/generator.hpp"
 
 namespace ftmc::bench {
-
-/// Telemetry of one bench binary. Construct at the top of main; the
-/// destructor writes `BENCH_<name>.json` (into FTMC_BENCH_DIR, default
-/// the working directory) with wall time, thread count, argv, optional
-/// throughput and domain notes, plus a snapshot of the global metrics
-/// registry — which the constructor enables, so analysis hot-path
-/// counters (mcs.*, core.*, campaign.*) are populated for every bench
-/// run.
-class BenchReport {
- public:
-  BenchReport(std::string name, int argc, char** argv);
-  ~BenchReport();
-  BenchReport(const BenchReport&) = delete;
-  BenchReport& operator=(const BenchReport&) = delete;
-
-  /// Headline work volume; reported with the derived items-per-second.
-  void set_items(double items, std::string unit = "items");
-  /// Same, but with an explicitly measured duration: items_per_sec is then
-  /// items / measured_seconds instead of items / total wall time. For
-  /// binaries where the gated workload is only one section of the process
-  /// (e.g. the micro benches, whose google-benchmark phase has a fixed
-  /// wall time that would dilute the rate).
-  void set_items_measured(double items, double measured_seconds,
-                          std::string unit = "items");
-  /// Domain-specific metrics attached under "notes".
-  void note_number(std::string_view key, double value);
-  void note_string(std::string_view key, std::string_view value);
-
-  /// Seconds since construction.
-  [[nodiscard]] double wall_seconds() const;
-  /// Output path (FTMC_BENCH_DIR joined with BENCH_<name>.json).
-  [[nodiscard]] std::string path() const;
-  /// Renders and writes the report now (the destructor then skips it).
-  void write();
-
- private:
-  std::string name_;
-  std::vector<std::string> argv_;
-  std::chrono::steady_clock::time_point t0_;
-  double items_ = -1.0;
-  double measured_seconds_ = -1.0;  ///< < 0: rate uses total wall time
-  std::string items_unit_;
-  std::vector<std::pair<std::string, std::string>> notes_;  // key, raw json
-  bool written_ = false;
-};
 
 /// One data point: acceptance ratios with and without the adaptation
 /// mechanism (the shaded "schedulability gap" of Fig. 3).

@@ -10,6 +10,7 @@
 #include "common/experiment_util.hpp"
 #include "ftmc/core/ft_checkpoint.hpp"
 #include "ftmc/io/table.hpp"
+#include "ftmc/obs/bench_report.hpp"
 #include "ftmc/taskgen/generator.hpp"
 
 int main(int argc, char** argv) {
@@ -18,7 +19,7 @@ int main(int argc, char** argv) {
   const cli::Command flags{.program = "extension_checkpointed_fts",
                            .flags = {bench::sets_flag(sets)}};
   if (const auto code = cli::parse(flags, argc, argv)) return *code;
-  bench::BenchReport report("extension_checkpointed_fts", argc, argv);
+  obs::BenchReport report("extension_checkpointed_fts", argc, argv);
 
   struct Variant {
     const char* label;

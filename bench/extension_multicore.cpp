@@ -9,6 +9,7 @@
 #include "common/experiment_util.hpp"
 #include "ftmc/core/partitioned.hpp"
 #include "ftmc/io/table.hpp"
+#include "ftmc/obs/bench_report.hpp"
 #include "ftmc/sim/partitioned_sim.hpp"
 #include "ftmc/taskgen/generator.hpp"
 
@@ -18,7 +19,7 @@ int main(int argc, char** argv) {
   const cli::Command flags{.program = "extension_multicore",
                            .flags = {bench::sets_flag(sets)}};
   if (const auto code = cli::parse(flags, argc, argv)) return *code;
-  bench::BenchReport report("extension_multicore", argc, argv);
+  obs::BenchReport report("extension_multicore", argc, argv);
 
   std::cout << "=== Extension — partitioned multiprocessor FT-MC ===\n";
   std::cout << "task killing, HI=B, LO=D, f=1e-5, " << sets

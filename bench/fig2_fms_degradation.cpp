@@ -7,14 +7,17 @@
 #include <iostream>
 #include <limits>
 
-#include "common/experiment_util.hpp"
+#include "ftmc/common/cli.hpp"
 #include "ftmc/core/ft_scheduler.hpp"
 #include "ftmc/fms/fms.hpp"
 #include "ftmc/io/table.hpp"
+#include "ftmc/obs/bench_report.hpp"
 
 int main(int argc, char** argv) {
   using namespace ftmc;
-  bench::BenchReport report("fig2_fms_degradation", argc, argv);
+  const cli::Command flags{.program = "fig2_fms_degradation"};
+  if (const auto code = cli::parse(flags, argc, argv)) return *code;
+  obs::BenchReport report("fig2_fms_degradation", argc, argv);
   const core::FtTaskSet fms = fms::canonical_fms_instance();
   const auto reqs = core::SafetyRequirements::do178b();
 

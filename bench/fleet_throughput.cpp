@@ -21,6 +21,7 @@
 #include "ftmc/campaign/spec.hpp"
 #include "ftmc/fleet/service.hpp"
 #include "ftmc/fleet/worker.hpp"
+#include "ftmc/obs/bench_report.hpp"
 
 namespace {
 
@@ -80,7 +81,7 @@ int main(int argc, char** argv) {
   const cli::Command flags{.program = "fleet_throughput",
                            .flags = {bench::sets_flag(sets)}};
   if (const auto code = cli::parse(flags, argc, argv)) return *code;
-  bench::BenchReport report("fleet_throughput", argc, argv);
+  obs::BenchReport report("fleet_throughput", argc, argv);
 
   const campaign::CampaignSpec spec = bench_spec(sets);
   const double cells =

@@ -6,14 +6,15 @@
 
 #include <chrono>
 #include <cmath>
+#include <vector>
 
-#include "common/experiment_util.hpp"
 #include "ftmc/core/analysis.hpp"
 #include "ftmc/core/conversion.hpp"
 #include "ftmc/core/ft_scheduler.hpp"
 #include "ftmc/fms/fms.hpp"
 #include "ftmc/mcs/edf_vd.hpp"
 #include "ftmc/mcs/mc_dbf.hpp"
+#include "ftmc/obs/bench_report.hpp"
 #include "ftmc/taskgen/generator.hpp"
 
 namespace {
@@ -131,7 +132,7 @@ BENCHMARK(BM_Ablation_AccuracyReport);
 /// google-benchmark phase above (whose wall time is pinned by
 /// --benchmark_min_time and would dilute the rate). One item = one task
 /// set pushed through all three analyses.
-void run_gate_workload(ftmc::bench::BenchReport& report) {
+void run_gate_workload(ftmc::obs::BenchReport& report) {
   constexpr int sets = 96;
   constexpr double kUtilizations[] = {0.3, 0.5, 0.7, 0.9};
 
@@ -168,9 +169,14 @@ void run_gate_workload(ftmc::bench::BenchReport& report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ftmc::bench::BenchReport report("micro_analysis", argc, argv);
+  // google-benchmark drops the flags it takes from argv; the report
+  // records the whole command line, and only once it was accepted.
+  const std::vector<char*> command_line(argv, argv + argc);
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  ftmc::obs::BenchReport report("micro_analysis",
+                                static_cast<int>(command_line.size()),
+                                command_line.data());
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
   run_gate_workload(report);

@@ -11,12 +11,14 @@
 #include <atomic>
 #include <chrono>
 #include <climits>
+#include <vector>
 
-#include "common/experiment_util.hpp"
+#include "ftmc/common/cli.hpp"
 #include "ftmc/core/conversion.hpp"
 #include "ftmc/exec/parallel.hpp"
 #include "ftmc/exec/seed.hpp"
 #include "ftmc/fms/fms.hpp"
+#include "ftmc/obs/bench_report.hpp"
 #include "ftmc/sim/monte_carlo.hpp"
 
 namespace {
@@ -89,7 +91,7 @@ BENCHMARK(BM_MonteCarloCampaign)
 /// Fixed Monte-Carlo campaign for the perf gate, timed separately from the
 /// google-benchmark phase (see micro_analysis): all hardware threads, one
 /// item = one completed mission.
-void run_gate_workload(ftmc::bench::BenchReport& report) {
+void run_gate_workload(ftmc::obs::BenchReport& report) {
   const auto tasks =
       sim::build_sim_tasks(fms::canonical_fms_instance(), 3, 2, 2, 0.5);
   sim::SimConfig cfg;
@@ -118,7 +120,9 @@ void run_gate_workload(ftmc::bench::BenchReport& report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ftmc::bench::BenchReport report("micro_exec", argc, argv);
+  // google-benchmark drops the flags it takes from argv; the report
+  // records the whole command line, and only once it was accepted.
+  const std::vector<char*> command_line(argv, argv + argc);
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   // google-benchmark took its flags; the rest is the environment.
@@ -128,6 +132,9 @@ int main(int argc, char** argv) {
                                    "campaign missions (default 1000)")
                     .overridden_by("FTMC_BENCH_MISSIONS")}};
   if (const auto code = ftmc::cli::parse(flags, argc, argv)) return *code;
+  ftmc::obs::BenchReport report("micro_exec",
+                                static_cast<int>(command_line.size()),
+                                command_line.data());
   report.note_number("missions", g_missions);
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();

@@ -6,11 +6,12 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <vector>
 
-#include "common/experiment_util.hpp"
 #include "ftmc/core/conversion.hpp"
 #include "ftmc/fms/fms.hpp"
 #include "ftmc/mcs/edf_vd.hpp"
+#include "ftmc/obs/bench_report.hpp"
 #include "ftmc/obs/registry.hpp"
 #include "ftmc/sim/engine.hpp"
 
@@ -94,7 +95,7 @@ BENCHMARK(BM_SimSporadicArrivals);
 /// task killing over the FMS case study plus an elevated-fault variant,
 /// timed separately from the google-benchmark phase (see micro_analysis).
 /// One item = one released job.
-void run_gate_workload(ftmc::bench::BenchReport& report) {
+void run_gate_workload(ftmc::obs::BenchReport& report) {
   constexpr int minutes = 600;
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -122,9 +123,14 @@ void run_gate_workload(ftmc::bench::BenchReport& report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ftmc::bench::BenchReport report("micro_sim", argc, argv);
+  // google-benchmark drops the flags it takes from argv; the report
+  // records the whole command line, and only once it was accepted.
+  const std::vector<char*> command_line(argv, argv + argc);
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  ftmc::obs::BenchReport report("micro_sim",
+                                static_cast<int>(command_line.size()),
+                                command_line.data());
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
   run_gate_workload(report);

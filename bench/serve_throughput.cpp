@@ -25,9 +25,10 @@
 #include <thread>
 #include <vector>
 
-#include "common/experiment_util.hpp"
+#include "ftmc/common/cli.hpp"
 #include "ftmc/io/json.hpp"
 #include "ftmc/net/socket.hpp"
+#include "ftmc/obs/bench_report.hpp"
 #include "ftmc/serve/server.hpp"
 #include "ftmc/serve/tcp.hpp"
 #include "ftmc/taskgen/generator.hpp"
@@ -115,7 +116,7 @@ struct Options {
 int main(int argc, char** argv) {
   Options opt;
   if (const auto code = cli::parse(flags(opt), argc, argv)) return *code;
-  bench::BenchReport report("serve_throughput", argc, argv);
+  obs::BenchReport report("serve_throughput", argc, argv);
   const std::string request = make_request(opt.queries);
   double total_queries = 0.0;
 

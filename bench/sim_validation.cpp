@@ -7,11 +7,12 @@
 #include <cmath>
 #include <iostream>
 
-#include "common/experiment_util.hpp"
+#include "ftmc/common/cli.hpp"
 #include "ftmc/core/analysis.hpp"
 #include "ftmc/core/conversion.hpp"
 #include "ftmc/io/table.hpp"
 #include "ftmc/mcs/edf_vd.hpp"
+#include "ftmc/obs/bench_report.hpp"
 #include "ftmc/prob/poisson.hpp"
 #include "ftmc/sim/engine.hpp"
 #include "ftmc/sim/monte_carlo.hpp"
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
                 cli::toggle("--progress", progress,
                             "live progress meter on stderr")}};
   if (const auto code = cli::parse(flags, argc, argv)) return *code;
-  bench::BenchReport report("sim_validation", argc, argv);
+  obs::BenchReport report("sim_validation", argc, argv);
   const double f = 1e-2;
   const auto task = [f](const char* name, Millis period, Millis wcet,
                         Dal dal) {

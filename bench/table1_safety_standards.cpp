@@ -2,9 +2,10 @@
 /// the library (plus the IEC 61508 profile provided as an extension).
 #include <iostream>
 
-#include "common/experiment_util.hpp"
+#include "ftmc/common/cli.hpp"
 #include "ftmc/core/safety.hpp"
 #include "ftmc/io/table.hpp"
+#include "ftmc/obs/bench_report.hpp"
 
 namespace {
 
@@ -23,7 +24,9 @@ void print_standard(const ftmc::core::SafetyRequirements& reqs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ftmc::bench::BenchReport report("table1_safety_standards", argc, argv);
+  const ftmc::cli::Command flags{.program = "table1_safety_standards"};
+  if (const auto code = ftmc::cli::parse(flags, argc, argv)) return *code;
+  ftmc::obs::BenchReport report("table1_safety_standards", argc, argv);
   std::cout << "=== Table 1 — safety requirements per criticality ===\n\n";
   print_standard(ftmc::core::SafetyRequirements::do178b());
   print_standard(ftmc::core::SafetyRequirements::iec61508());

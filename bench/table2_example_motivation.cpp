@@ -3,14 +3,17 @@
 /// the infeasibility without killing (U = 1.08595 > 1).
 #include <iostream>
 
-#include "common/experiment_util.hpp"
+#include "ftmc/common/cli.hpp"
 #include "ftmc/core/ft_scheduler.hpp"
 #include "ftmc/io/table.hpp"
 #include "ftmc/io/taskset_io.hpp"
+#include "ftmc/obs/bench_report.hpp"
 
 int main(int argc, char** argv) {
   using namespace ftmc;
-  bench::BenchReport report("table2_example_motivation", argc, argv);
+  const cli::Command flags{.program = "table2_example_motivation"};
+  if (const auto code = cli::parse(flags, argc, argv)) return *code;
+  obs::BenchReport report("table2_example_motivation", argc, argv);
   const core::FtTaskSet ts = io::parse_task_set_string(R"(
 mapping HI=B LO=D
 task tau1 T=60 C=5 dal=B f=1e-5

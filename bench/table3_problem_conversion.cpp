@@ -3,15 +3,18 @@
 /// (C(HI) = 3C, C(LO) = 2C for HI tasks) and its EDF-VD schedulability.
 #include <iostream>
 
-#include "common/experiment_util.hpp"
+#include "ftmc/common/cli.hpp"
 #include "ftmc/core/conversion.hpp"
 #include "ftmc/io/table.hpp"
 #include "ftmc/io/taskset_io.hpp"
 #include "ftmc/mcs/edf_vd.hpp"
+#include "ftmc/obs/bench_report.hpp"
 
 int main(int argc, char** argv) {
   using namespace ftmc;
-  bench::BenchReport report("table3_problem_conversion", argc, argv);
+  const cli::Command flags{.program = "table3_problem_conversion"};
+  if (const auto code = cli::parse(flags, argc, argv)) return *code;
+  obs::BenchReport report("table3_problem_conversion", argc, argv);
   const core::FtTaskSet ts = io::parse_task_set_string(R"(
 mapping HI=B LO=D
 task tau1 T=60 C=5 dal=B f=1e-5

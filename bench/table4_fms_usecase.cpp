@@ -2,13 +2,16 @@
 /// random instance used by the Fig. 1/Fig. 2 reproduction benches.
 #include <iostream>
 
-#include "common/experiment_util.hpp"
+#include "ftmc/common/cli.hpp"
 #include "ftmc/fms/fms.hpp"
 #include "ftmc/io/table.hpp"
+#include "ftmc/obs/bench_report.hpp"
 
 int main(int argc, char** argv) {
   using namespace ftmc;
-  bench::BenchReport report("table4_fms_usecase", argc, argv);
+  const cli::Command flags{.program = "table4_fms_usecase"};
+  if (const auto code = cli::parse(flags, argc, argv)) return *code;
+  obs::BenchReport report("table4_fms_usecase", argc, argv);
   std::cout << "=== Table 4 — FMS use case ===\n\n";
 
   io::Table tmpl_table({"task", "T/D [ms]", "C range [ms]", "chi"});

@@ -9,6 +9,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <climits>
 #include <fstream>
 #include <iostream>
@@ -20,10 +21,12 @@
 #include "ftmc/campaign/runner.hpp"
 #include "ftmc/campaign/spec.hpp"
 #include "ftmc/common/cli.hpp"
-#include "ftmc/exec/stats.hpp"
+#include "ftmc/common/file.hpp"
+#include "ftmc/exec/parallel.hpp"
 #include "ftmc/fleet/service.hpp"
 #include "ftmc/fleet/worker.hpp"
 #include "ftmc/io/json.hpp"
+#include "ftmc/obs/bench_report.hpp"
 #include "ftmc/obs/progress.hpp"
 #include "ftmc/obs/registry.hpp"
 #include "ftmc/obs/span.hpp"
@@ -182,16 +185,17 @@ int cmd_worker(const CliOptions& opt) {
 /// `coordinate` (workers connect on their own) and `run --fleet N` (N
 /// forked local workers): one coordinator either way.
 int cmd_fleet(const CliOptions& opt, int argc, char** argv) {
+  // Enabled before the ledger opens, so its campaign.* counts are kept.
   obs::Registry::global().enable();
   fleet::CoordinatorOptions coordinator = opt.coordinator;
   coordinator.dir = opt.dir;
   fleet::CoordinatorService service(campaign::load_spec_file(opt.spec_path),
                                     coordinator, opt.listener);
+  obs::BenchReport report("fleet", argc, argv);
   if (opt.fleet == 0) {
     std::cout << "listening on 127.0.0.1:" << service.port() << std::endl;
     if (!opt.port_file.empty()) {
-      campaign::write_file_atomic(opt.port_file,
-                                  std::to_string(service.port()) + "\n");
+      write_file_atomic(opt.port_file, std::to_string(service.port()) + "\n");
     }
   }
 
@@ -206,7 +210,12 @@ int cmd_fleet(const CliOptions& opt, int argc, char** argv) {
     workers.push_back(pid);
   }
 
+  const auto serve_start = std::chrono::steady_clock::now();
   const campaign::CampaignResult result = service.serve();
+  const double serve_seconds = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() -
+                                   serve_start)
+                                   .count();
 
   bool workers_ok = workers.size() == static_cast<std::size_t>(opt.fleet);
   for (const pid_t pid : workers) {
@@ -218,7 +227,8 @@ int cmd_fleet(const CliOptions& opt, int argc, char** argv) {
   }
   if (!workers_ok) std::cerr << "ftmc_campaign: worker failure\n";
 
-  service.write_bench_report(std::vector<std::string>(argv, argv + argc));
+  fleet::report_result(report, result, serve_seconds);
+  report.write();
   print_summary(result);
   if (!result.complete) return 3;
   return workers_ok ? 0 : 1;
@@ -229,8 +239,6 @@ int cmd_run_or_resume(const CliOptions& opt, bool run) {
   campaign::RunnerOptions runner = opt.runner;
   runner.dir = opt.dir;
   if (opt.progress) runner.progress = obs::stderr_progress("campaign");
-  exec::RunStats stats;
-  if (opt.stats) runner.stats = &stats;
   obs::SpanRecorder spans;
   if (!opt.trace_out.empty()) runner.spans = &spans;
 
@@ -244,7 +252,7 @@ int cmd_run_or_resume(const CliOptions& opt, bool run) {
     spans.write_chrome_trace(trace);
     std::cerr << "trace: " << opt.trace_out << "\n";
   }
-  if (opt.stats) std::cerr << stats.summary();
+  if (opt.stats) std::cerr << exec::phase_summary(obs::Registry::global());
   print_summary(result);
   return result.complete ? 0 : 3;
 }

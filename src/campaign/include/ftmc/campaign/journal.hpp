@@ -11,12 +11,8 @@
 ///    a malformed trailing line, so `--resume` replays exactly the cells
 ///    that provably completed;
 ///  - whole files that must never be seen half-written (spec.json,
-///    results.json) go through write_file_atomic: write `<path>.tmp`,
-///    fsync the file, std::rename, then fsync the directory — POSIX
-///    renames within a directory are atomic, so readers observe either
-///    the old or the new content, and the fsync pair makes the swap
-///    hold through power loss, not just process death (a bare
-///    flush+rename lets the rename reach disk before the data blocks).
+///    results.json) go through write_file_atomic (ftmc/common/file.hpp):
+///    tmp file, fsync, rename, fsync of the directory.
 ///
 /// Journal appends flush to the OS but are not fsynced per line: losing
 /// the tail of the journal to power loss only re-runs those cells on
@@ -50,10 +46,6 @@ struct CellRecord {
 [[nodiscard]] CellRecord record_from_json(std::string_view line);
 /// The same from a parsed object (one record of a fleet result message).
 [[nodiscard]] CellRecord record_from_json(const io::json::Value& doc);
-
-/// Atomically replaces `path` with `content` (tmp + rename, see file
-/// comment). Throws std::runtime_error when the filesystem says no.
-void write_file_atomic(const std::string& path, std::string_view content);
 
 /// Reads a whole file; throws std::runtime_error if unreadable.
 [[nodiscard]] std::string read_file(const std::string& path);

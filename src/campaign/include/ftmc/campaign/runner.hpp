@@ -12,9 +12,10 @@
 ///    survive any crash in the journal, and a resume, or a run over an
 ///    edited spec, replays every cell whose content hash is journaled.
 ///
-/// Observability: the ledger feeds the campaign.* counters; the runner
-/// records one span per computed cell when the parallel region carries
-/// a SpanRecorder, and reports progress over the cells it computes.
+/// Observability: the ledger feeds the campaign.* counters and the
+/// region the exec.campaign.* ones; the runner records one span per
+/// computed cell when the parallel region carries a SpanRecorder, and
+/// reports progress over the cells it computes.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +23,6 @@
 
 #include "ftmc/campaign/ledger.hpp"
 #include "ftmc/campaign/spec.hpp"
-#include "ftmc/exec/stats.hpp"
 #include "ftmc/obs/progress.hpp"
 #include "ftmc/obs/span.hpp"
 
@@ -40,8 +40,7 @@ struct RunnerOptions {
   /// The CI crash drill uses this to interrupt a run deterministically —
   /// the journal then looks exactly like a crash at a cell boundary.
   std::size_t max_cells = 0;
-  obs::ProgressFn progress;        ///< over newly computed cells
-  exec::RunStats* stats = nullptr; ///< phase "campaign"
+  obs::ProgressFn progress;            ///< over newly computed cells
   obs::SpanRecorder* spans = nullptr;  ///< one span per cell
 };
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "ftmc/campaign/cache.hpp"
+#include "ftmc/common/file.hpp"
 #include "ftmc/io/json.hpp"
 
 namespace ftmc::campaign {

@@ -96,7 +96,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   par.threads = options.threads;
   par.chunk_size = 1;  // one cell = sets_per_point schedulings
   par.phase = "campaign";
-  par.stats = options.stats;
   par.spans = options.spans;
   par.progress = options.progress;
   exec::parallel_for(

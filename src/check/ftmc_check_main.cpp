@@ -17,7 +17,7 @@
 
 #include "ftmc/check/harness.hpp"
 #include "ftmc/common/cli.hpp"
-#include "ftmc/exec/stats.hpp"
+#include "ftmc/exec/parallel.hpp"
 #include "ftmc/io/parse_error.hpp"
 #include "ftmc/obs/progress.hpp"
 #include "ftmc/obs/registry.hpp"
@@ -177,12 +177,7 @@ int cmd_run(const CliOptions& opt) {
   // Budget mode without an explicit case count: the budget decides.
   harness.cases =
       opt.cases.value_or(harness.budget_sec > 0.0 ? 10'000'000 : 10'000);
-  exec::RunStats stats;
-  if (opt.stats) {
-    obs::Registry::global().enable();
-    harness.registry = &obs::Registry::global();
-    harness.stats = &stats;
-  }
+  if (opt.stats) obs::Registry::global().enable();
   if (opt.progress) harness.progress = obs::stderr_progress("check");
 
   check::HarnessResult result = check::run_harness(harness);
@@ -223,8 +218,8 @@ int cmd_run(const CliOptions& opt) {
   }
 
   if (opt.stats) {
-    std::cerr << stats.summary();
-    std::cerr << obs::Registry::global().snapshot_json() << "\n";
+    std::cerr << exec::phase_summary(obs::Registry::global())
+              << obs::Registry::global().snapshot_json() << "\n";
   }
   return result.ok() ? 0 : 4;
 }

@@ -17,7 +17,6 @@
 #include "ftmc/check/property.hpp"
 #include "ftmc/check/repro.hpp"
 #include "ftmc/check/shrink.hpp"
-#include "ftmc/exec/stats.hpp"
 #include "ftmc/obs/progress.hpp"
 
 namespace ftmc::check {
@@ -40,9 +39,8 @@ struct HarnessOptions {
   /// At most this many failures are shrunk and recorded (the first N in
   /// case order — deterministic); all failures are *counted* regardless.
   std::size_t max_recorded_failures = 16;
-  obs::Registry* registry = nullptr;
+  /// Called from the calling thread after every wave of cases.
   obs::ProgressFn progress;
-  exec::RunStats* stats = nullptr;
 };
 
 struct HarnessResult {

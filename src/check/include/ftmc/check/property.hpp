@@ -37,7 +37,6 @@
 
 #include "ftmc/check/case.hpp"
 #include "ftmc/common/time.hpp"
-#include "ftmc/obs/registry.hpp"
 
 namespace ftmc::check {
 
@@ -62,7 +61,9 @@ struct Outcome {
   }
 };
 
-/// Shared run context: injected corruptions, simulation bounds, metrics.
+/// Shared run context: injected corruptions and simulation bounds.
+/// Properties count their work (check.sim_runs, check.marginal_skips,
+/// ...) in obs::Registry::global() while it is enabled.
 struct PropertyContext {
   InjectedBugs bugs;
   /// Cap on the simulated window when the hyperperiod is impractical
@@ -70,9 +71,6 @@ struct PropertyContext {
   /// usually overflows; 10 simulated seconds covers >= 5 jobs of the
   /// longest generatable period).
   sim::Tick max_sim_horizon = 10'000'000;
-  /// When set, properties feed counters (check.sim_runs,
-  /// check.pessimism_disagreements, ...). Null = off.
-  obs::Registry* registry = nullptr;
 };
 
 using PropertyFn = Outcome (*)(const Case&, const PropertyContext&);

@@ -5,6 +5,7 @@
 
 #include "ftmc/common/contracts.hpp"
 #include "ftmc/exec/parallel.hpp"
+#include "ftmc/obs/registry.hpp"
 
 namespace ftmc::check {
 namespace {
@@ -75,13 +76,12 @@ HarnessResult run_harness(const HarnessOptions& options) {
   PropertyContext ctx;
   ctx.bugs = options.bugs;
   ctx.max_sim_horizon = options.max_sim_horizon;
-  ctx.registry = options.registry;
 
-  obs::Counter cases_counter, fail_counter;
-  if (options.registry != nullptr) {
-    cases_counter = options.registry->counter("check.cases");
-    fail_counter = options.registry->counter("check.failures");
-  }
+  // Inert until the global registry is enabled.
+  static obs::Counter cases_counter =
+      obs::Registry::global().counter("check.cases");
+  static obs::Counter fail_counter =
+      obs::Registry::global().counter("check.failures");
 
   const auto started = std::chrono::steady_clock::now();
   const auto elapsed = [&started] {
@@ -156,7 +156,6 @@ HarnessResult run_harness(const HarnessOptions& options) {
 
     exec::ParallelOptions popt;
     popt.threads = options.threads;
-    popt.stats = options.stats;
     popt.phase = "check";
 
     Accumulator acc = exec::parallel_map_reduce<Accumulator>(

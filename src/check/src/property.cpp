@@ -22,6 +22,7 @@
 #include "ftmc/mcs/mc_dbf.hpp"
 #include "ftmc/mcs/opa.hpp"
 #include "ftmc/mcs/utilization_bounds.hpp"
+#include "ftmc/obs/registry.hpp"
 #include "ftmc/prob/safe_math.hpp"
 #include "ftmc/sim/engine.hpp"
 
@@ -38,8 +39,10 @@ constexpr double kUmcMargin = 1e-3;
 /// Response-time slack (ms) required before asserting on AMC-rtb.
 constexpr Millis kResponseMargin = 0.1;
 
-void bump(const PropertyContext& ctx, const char* name) {
-  if (ctx.registry != nullptr) ctx.registry->counter(name).inc();
+/// Counts one `name` event while the global registry is enabled.
+void bump(const char* name) {
+  obs::Registry& registry = obs::Registry::global();
+  if (registry.is_enabled()) registry.counter(name).inc();
 }
 
 /// Runs the worst-case fault adversary over the bounded hyperperiod and
@@ -60,7 +63,7 @@ Outcome run_worst_case_sim(const Case& c, sim::PolicyKind policy,
   sim::Simulator simulator(
       sim::build_sim_tasks(c.ts, c.n_hi, c.n_lo, c.n_adapt, x), cfg);
   const sim::SimStats stats = simulator.run();
-  bump(ctx, "check.sim_runs");
+  bump("check.sim_runs");
 
   for (std::size_t i = 0; i < stats.per_task.size(); ++i) {
     if (stats.per_task[i].deadline_misses == 0) continue;
@@ -93,7 +96,7 @@ Outcome p_edf_vd_killing_vs_sim(const Case& c, const PropertyContext& ctx) {
   const mcs::EdfVdAnalysis vd = mcs::analyze_edf_vd(mc);
   if (!vd.schedulable) return Outcome::skip("EDF-VD rejects");
   if (vd.u_mc > 1.0 - kUmcMargin) {
-    bump(ctx, "check.marginal_skips");
+    bump("check.marginal_skips");
     return Outcome::skip("marginal acceptance");
   }
   return run_worst_case_sim(c, sim::PolicyKind::kEdfVd,
@@ -112,7 +115,7 @@ Outcome p_edf_vd_degradation_vs_sim(const Case& c,
       mcs::analyze_edf_vd_degradation(mc, c.degradation_factor);
   if (!an.schedulable) return Outcome::skip("EDF-VD(degradation) rejects");
   if (an.u_mc > 1.0 - kUmcMargin) {
-    bump(ctx, "check.marginal_skips");
+    bump("check.marginal_skips");
     return Outcome::skip("marginal acceptance");
   }
   return run_worst_case_sim(c, sim::PolicyKind::kEdfVd,
@@ -132,7 +135,7 @@ Outcome p_amc_rtb_vs_sim(const Case& c, const PropertyContext& ctx) {
     const Millis worst =
         std::max(rt.lo[i], rt.hi.empty() ? 0.0 : rt.hi[i]);
     if (worst > mc[i].deadline - kResponseMargin) {
-      bump(ctx, "check.marginal_skips");
+      bump("check.marginal_skips");
       return Outcome::skip("marginal acceptance");
     }
   }
@@ -166,7 +169,7 @@ Outcome p_edf_vd_subset_mc_dbf(const Case& c, const PropertyContext& ctx) {
   // simulation: a deadline miss convicts the sufficient test, no miss is
   // (bounded) evidence the exact test was merely unable to tune deadlines.
   if (vd.u_mc > 1.0 - kUmcMargin) {
-    bump(ctx, "check.marginal_skips");
+    bump("check.marginal_skips");
     return Outcome::skip("marginal acceptance");
   }
   const Outcome sim_verdict = run_worst_case_sim(
@@ -177,7 +180,7 @@ Outcome p_edf_vd_subset_mc_dbf(const Case& c, const PropertyContext& ctx) {
         "EDF-VD accepted a set the exact MC-DBF test rejects, and "
         "simulation confirms it: " + sim_verdict.message);
   }
-  bump(ctx, "check.pessimism_disagreements");
+  bump("check.pessimism_disagreements");
   return Outcome::pass();
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "ftmc/obs/registry.hpp"
 #include "ftmc/sim/engine.hpp"
 
 namespace ftmc::check {
@@ -99,9 +100,9 @@ Outcome run_replay(const Case& c, const PropertyContext& ctx,
       replay_config(c, ctx, adaptation, fault_model, mode_reset);
   rt::PosixHost host(tasks, cfg);
   const rt::PosixResult result = host.run();
-  if (ctx.registry != nullptr) {
-    ctx.registry->counter("check.replay_runs").inc();
-  }
+  static obs::Counter replay_runs =
+      obs::Registry::global().counter("check.replay_runs");
+  replay_runs.inc();
   const ReplayDiff diff = replay_through_sim(tasks, cfg, result.trace);
   if (diff.identical) return Outcome::pass();
   std::ostringstream msg;

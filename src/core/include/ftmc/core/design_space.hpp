@@ -16,7 +16,6 @@
 
 #include "ftmc/core/ft_checkpoint.hpp"
 #include "ftmc/core/ft_scheduler.hpp"
-#include "ftmc/exec/stats.hpp"
 #include "ftmc/obs/progress.hpp"
 #include "ftmc/obs/span.hpp"
 
@@ -55,14 +54,12 @@ struct DesignSpaceOptions {
   /// <= 0 = one per hardware thread. Evaluation is deterministic, so the
   /// result does not depend on this value.
   int threads = 1;
-  exec::RunStats* stats = nullptr;  ///< optional run counters
   /// Optional span recorder: records one "design_point" span per grid
   /// point into per-worker lanes (see exec::ParallelOptions::spans).
   obs::SpanRecorder* spans = nullptr;
   /// Optional progress callback (done = grid points evaluated), invoked
-  /// from the calling thread at most every progress_interval seconds.
+  /// from the calling thread only (see exec::ParallelOptions::progress).
   obs::ProgressFn progress;
-  double progress_interval = 0.25;
 };
 
 /// Runs FT-S (re-execution for segments == 1, the checkpointed pipeline

@@ -116,11 +116,9 @@ std::vector<DesignPoint> explore_design_space(
   exec::ParallelOptions par;
   par.threads = options.threads;
   par.chunk_size = 1;  // points are few and individually heavy
-  par.stats = options.stats;
   par.phase = "design_space";
   par.spans = options.spans;
   par.progress = options.progress;
-  par.progress_interval = options.progress_interval;
   exec::parallel_for(grid.size(), par,
                      [&](std::size_t begin, std::size_t end) {
                        for (std::size_t i = begin; i < end; ++i) {

@@ -17,16 +17,22 @@
 ///
 /// Exceptions thrown by a body cancel the remaining chunks and are
 /// rethrown on the calling thread (first one wins).
+///
+/// Run counters: while obs::Registry::global() is enabled, every region
+/// adds to the metric family `exec.<phase>.{items,chunks,regions,
+/// wall_seconds,threads}` (threads is the largest worker count seen).
+/// While it is disabled, a region pays one branch for them.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "ftmc/exec/stats.hpp"
 #include "ftmc/obs/progress.hpp"
+#include "ftmc/obs/registry.hpp"
 #include "ftmc/obs/span.hpp"
 
 namespace ftmc::exec {
@@ -40,8 +46,8 @@ struct ParallelOptions {
   /// shapes the merge tree of parallel_map_reduce, so changing it may
   /// change floating-point results — changing `threads` never does.
   std::size_t chunk_size = 0;
-  RunStats* stats = nullptr;   ///< optional run counters
-  const char* phase = "parallel";  ///< phase name used with `stats`
+  /// Names the region's exec.<phase>.* metrics and its chunk spans.
+  const char* phase = "parallel";
   /// Optional span recorder: the region records one span per chunk
   /// (named `phase`) into per-worker lanes ("main" for the calling
   /// thread, "worker-N" for pool workers), and the worker's lane stays
@@ -49,10 +55,9 @@ struct ParallelOptions {
   /// the right timeline. Null = tracing off (no cost beyond a TLS read).
   obs::SpanRecorder* spans = nullptr;
   /// Optional progress callback, invoked from the CALLING thread only
-  /// (never concurrently) at most every `progress_interval` seconds,
-  /// plus a final {done == total} call when the region completes.
+  /// (never concurrently) after every chunk it sees complete, plus a
+  /// final {done == total} call when the region completes.
   obs::ProgressFn progress;
-  double progress_interval = 0.25;  ///< min seconds between callbacks
 };
 
 /// Resolves ParallelOptions::threads (<= 0 -> hardware concurrency).
@@ -60,6 +65,10 @@ struct ParallelOptions {
 
 /// Resolves ParallelOptions::chunk_size (0 -> 16).
 [[nodiscard]] std::size_t resolve_chunk(std::size_t chunk_size) noexcept;
+
+/// One line per phase recorded in `registry`, in first-recorded order:
+/// "campaign: 152 items / 152 chunks / 1 regions in 0.21 s on 4 threads".
+[[nodiscard]] std::string phase_summary(obs::Registry& registry);
 
 /// Runs `body(begin, end)` over chunked [0, n). Chunks may execute in any
 /// order and concurrently; bodies touching shared state must write to

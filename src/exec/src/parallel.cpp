@@ -5,7 +5,9 @@
 #include <chrono>
 #include <exception>
 #include <mutex>
+#include <sstream>
 #include <string>
+#include <string_view>
 
 #include "ftmc/exec/thread_pool.hpp"
 
@@ -18,47 +20,10 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Rate-limited progress reporting; only the coordinating thread touches
-/// an instance, so no synchronization is needed beyond reading `done`.
-class ProgressReporter {
- public:
-  ProgressReporter(const ParallelOptions& options, std::size_t total,
-                   Clock::time_point t0)
-      : options_(options), total_(total), t0_(t0), last_(t0) {}
-
-  void maybe_report(std::size_t done) {
-    if (!options_.progress || done >= total_) return;
-    const Clock::time_point now = Clock::now();
-    if (std::chrono::duration<double>(now - last_).count() <
-        options_.progress_interval) {
-      return;
-    }
-    last_ = now;
-    report(done);
-  }
-
-  void final_report() {
-    if (options_.progress) report(total_);
-  }
-
- private:
-  void report(std::size_t done) {
-    obs::Progress p;
-    p.done = done;
-    p.total = total_;
-    p.wall_seconds = seconds_since(t0_);
-    p.eta_seconds =
-        done > 0 ? p.wall_seconds / static_cast<double>(done) *
-                       static_cast<double>(total_ - done)
-                 : -1.0;
-    options_.progress(p);
-  }
-
-  const ParallelOptions& options_;
-  std::size_t total_;
-  Clock::time_point t0_;
-  Clock::time_point last_;
-};
+/// The name of one of a phase's exec.<phase>.* metrics.
+std::string metric(std::string_view phase, std::string_view field) {
+  return std::string("exec.").append(phase).append(".").append(field);
+}
 
 }  // namespace
 
@@ -80,19 +45,28 @@ void parallel_for(std::size_t n, const ParallelOptions& options,
       std::min<std::size_t>(
           static_cast<std::size_t>(resolve_threads(options.threads)),
           n_chunks));
-  ProgressReporter reporter(options, n, t0);
+  // Only the calling thread reports, so the callback needs no locking.
+  const auto report = [&](std::size_t done) {
+    if (!options.progress) return;
+    obs::Progress p;
+    p.done = done;
+    p.total = n;
+    p.wall_seconds = seconds_since(t0);
+    p.eta_seconds = done > 0 ? p.wall_seconds / static_cast<double>(done) *
+                                   static_cast<double>(n - done)
+                             : -1.0;
+    options.progress(p);
+  };
 
   if (threads <= 1) {
     obs::LaneGuard lane(options.spans, "main");
-    std::size_t done = 0;
     for (std::size_t c = 0; c < n_chunks; ++c) {
       const std::size_t end = std::min(n, (c + 1) * chunk);
       {
         obs::ScopedSpan span(options.phase);
         body(c * chunk, end);
       }
-      done = end;
-      reporter.maybe_report(done);
+      if (end < n) report(end);
     }
   } else {
     std::atomic<std::size_t> next{0};
@@ -124,7 +98,7 @@ void parallel_for(std::size_t n, const ParallelOptions& options,
         const std::size_t total_done =
             done.fetch_add(end - begin, std::memory_order_relaxed) +
             (end - begin);
-        if (coordinator) reporter.maybe_report(total_done);
+        if (coordinator && total_done < n) report(total_done);
       }
     };
     {
@@ -142,17 +116,40 @@ void parallel_for(std::size_t n, const ParallelOptions& options,
     if (error) std::rethrow_exception(error);
   }
 
-  reporter.final_report();
+  report(n);
 
-  if (options.stats != nullptr) {
-    PhaseStats s;
-    s.items = n;
-    s.chunks = n_chunks;
-    s.regions = 1;
-    s.threads = threads;
-    s.wall_seconds = seconds_since(t0);
-    options.stats->record(options.phase, s);
+  obs::Registry& registry = obs::Registry::global();
+  if (registry.is_enabled()) {
+    const std::string_view phase = options.phase;
+    registry.counter(metric(phase, "items")).inc(n);
+    registry.counter(metric(phase, "chunks")).inc(n_chunks);
+    registry.counter(metric(phase, "regions")).inc();
+    registry.gauge(metric(phase, "wall_seconds")).add(seconds_since(t0));
+    registry.gauge(metric(phase, "threads"))
+        .set_max(static_cast<double>(threads));
   }
+}
+
+std::string phase_summary(obs::Registry& registry) {
+  constexpr std::string_view kPrefix = "exec.";
+  constexpr std::string_view kSuffix = ".items";
+  std::ostringstream out;
+  for (const auto& [name, items] : registry.snapshot().counters) {
+    const std::string_view key = name;
+    if (key.size() <= kPrefix.size() + kSuffix.size() ||
+        !key.starts_with(kPrefix) || !key.ends_with(kSuffix)) {
+      continue;
+    }
+    const std::string_view phase = key.substr(
+        kPrefix.size(), key.size() - kPrefix.size() - kSuffix.size());
+    out << phase << ": " << items << " items / "
+        << registry.counter(metric(phase, "chunks")).value() << " chunks / "
+        << registry.counter(metric(phase, "regions")).value()
+        << " regions in "
+        << registry.gauge(metric(phase, "wall_seconds")).value() << " s on "
+        << registry.gauge(metric(phase, "threads")).value() << " threads\n";
+  }
+  return out.str();
 }
 
 }  // namespace ftmc::exec

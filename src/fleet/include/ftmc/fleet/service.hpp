@@ -1,7 +1,7 @@
 /// \file service.hpp
 /// \brief The coordinator's network face: a net::FramedServer pumping
 ///        bytes into fleet::Coordinator, with a completion-aware stop
-///        condition and fleet-wide telemetry export.
+///        condition, and the fields of its BENCH_fleet.json report.
 ///
 /// Stop condition: the listener drains once the campaign is complete
 /// AND either every worker that said hello has said bye, or
@@ -12,11 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "ftmc/fleet/coordinator.hpp"
 #include "ftmc/net/socket.hpp"
+#include "ftmc/obs/bench_report.hpp"
 
 namespace ftmc::fleet {
 
@@ -51,16 +50,18 @@ class CoordinatorService {
   /// Cross-thread / signal-safe abort.
   void stop() noexcept { server_.stop(); }
 
-  /// Writes BENCH_fleet.json (same schema as bench/common BenchReport:
-  /// name/argv/hardware_threads/wall_seconds/items/items_per_sec/notes/
-  /// metrics) into FTMC_BENCH_DIR or the working directory. `argv` is
-  /// the launching command line, for provenance.
-  void write_bench_report(const std::vector<std::string>& argv) const;
-
  private:
   Coordinator coordinator_;
   net::FramedServer server_;
-  double wall_seconds_ = 0.0;
 };
+
+/// Fills a coordinator's BENCH_fleet.json from the outcome of serve():
+/// the cells run over `serve_seconds` (items_per_sec is cells per second
+/// of serving), and the notes cells_total, cache_hits and complete. The
+/// metrics snapshot carries the coordinator's fleet.* and campaign.*
+/// counters, per-worker gauges included.
+void report_result(obs::BenchReport& report,
+                   const campaign::CampaignResult& result,
+                   double serve_seconds);
 
 }  // namespace ftmc::fleet

@@ -1,14 +1,5 @@
 #include "ftmc/fleet/service.hpp"
 
-#include <chrono>
-#include <cstdlib>
-#include <thread>
-#include <vector>
-
-#include "ftmc/campaign/journal.hpp"
-#include "ftmc/io/json.hpp"
-#include "ftmc/obs/registry.hpp"
-
 namespace ftmc::fleet {
 
 namespace {
@@ -40,51 +31,18 @@ CoordinatorService::CoordinatorService(campaign::CampaignSpec spec,
           }) {}
 
 campaign::CampaignResult CoordinatorService::serve() {
-  const auto start = std::chrono::steady_clock::now();
   server_.serve();
-  wall_seconds_ = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
   return coordinator_.result();
 }
 
-void CoordinatorService::write_bench_report(
-    const std::vector<std::string>& argv) const {
-  const campaign::CampaignResult result = coordinator_.result();
-  const double items = static_cast<double>(result.cells_run);
-
-  std::vector<std::string> args;
-  args.reserve(argv.size());
-  for (const std::string& arg : argv) {
-    args.push_back('"' + io::json::escape(arg) + '"');
-  }
-
-  io::json::Object doc;
-  doc.add_string("name", "fleet");
-  doc.add_raw("argv", io::json::array(args));
-  doc.add_int("hardware_threads",
-              static_cast<long long>(std::thread::hardware_concurrency()));
-  doc.add_number("wall_seconds", wall_seconds_);
-  doc.add_number("items", items);
-  doc.add_string("items_unit", "cells");
-  doc.add_number("items_per_sec",
-                 wall_seconds_ > 0.0 ? items / wall_seconds_ : 0.0);
-  doc.add_raw("notes",
-              io::json::Object{}
-                  .add_int("cells_total",
-                           static_cast<long long>(result.cells_total))
-                  .add_int("cache_hits",
-                           static_cast<long long>(result.cache_hits))
-                  .add_bool("complete", result.complete)
-                  .str());
-  doc.add_raw("metrics", obs::Registry::global().snapshot_json());
-
-  const char* dir = std::getenv("FTMC_BENCH_DIR");
-  const std::string path =
-      (dir != nullptr && *dir != '\0' ? std::string(dir) + "/"
-                                      : std::string{}) +
-      "BENCH_fleet.json";
-  campaign::write_file_atomic(path, doc.str() + "\n");
+void report_result(obs::BenchReport& report,
+                   const campaign::CampaignResult& result,
+                   double serve_seconds) {
+  report.set_items_measured(static_cast<double>(result.cells_run),
+                            serve_seconds, "cells");
+  report.note_number("cells_total", static_cast<double>(result.cells_total));
+  report.note_number("cache_hits", static_cast<double>(result.cache_hits));
+  report.note_bool("complete", result.complete);
 }
 
 }  // namespace ftmc::fleet

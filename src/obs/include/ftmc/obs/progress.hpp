@@ -2,8 +2,10 @@
 /// \brief Progress reporting for long-running campaigns.
 ///
 /// The parallel runtime invokes a ProgressFn from the COORDINATING thread
-/// only, at a bounded rate, so the callback needs no synchronization of
-/// its own (it may freely write to stderr, update a UI, ...).
+/// only, so the callback needs no synchronization of its own (it may
+/// freely write to stderr, update a UI, ...). It hands over every
+/// completion that thread observes, plus a final {done == total} call;
+/// a callback that prints limits its own rate, as stderr_progress does.
 #pragma once
 
 #include <cstddef>
@@ -35,8 +37,9 @@ using ProgressFn = std::function<void(const Progress&)>;
 [[nodiscard]] std::string format_progress(std::string_view label,
                                           const Progress& p);
 
-/// A ProgressFn printing carriage-return-refreshed updates to stderr
-/// (newline-terminated once done == total).
+/// A ProgressFn printing carriage-return-refreshed updates to stderr, at
+/// most one every 0.25 s (counted from its creation), and always the
+/// final one (done == total, newline-terminated).
 [[nodiscard]] ProgressFn stderr_progress(std::string label);
 
 }  // namespace ftmc::obs

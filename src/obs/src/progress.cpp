@@ -1,5 +1,6 @@
 #include "ftmc/obs/progress.hpp"
 
+#include <chrono>
 #include <cstdio>
 #include <sstream>
 
@@ -18,7 +19,14 @@ std::string format_progress(std::string_view label, const Progress& p) {
 }
 
 ProgressFn stderr_progress(std::string label) {
-  return [label = std::move(label)](const Progress& p) {
+  using Clock = std::chrono::steady_clock;
+  return [label = std::move(label),
+          last = Clock::now()](const Progress& p) mutable {
+    if (p.done < p.total) {
+      const Clock::time_point now = Clock::now();
+      if (now - last < std::chrono::milliseconds(250)) return;
+      last = now;
+    }
     std::fputs(("\r" + format_progress(label, p)).c_str(), stderr);
     if (p.done >= p.total) std::fputc('\n', stderr);
     std::fflush(stderr);

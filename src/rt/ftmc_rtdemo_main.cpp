@@ -27,13 +27,13 @@
 #include <string>
 #include <vector>
 
-#include "common/experiment_util.hpp"
 #include "ftmc/check/blackbox.hpp"
 #include "ftmc/check/replay.hpp"
 #include "ftmc/common/cli.hpp"
 #include "ftmc/core/conversion.hpp"
 #include "ftmc/fms/fms.hpp"
 #include "ftmc/mcs/edf_vd.hpp"
+#include "ftmc/obs/bench_report.hpp"
 #include "ftmc/obs/registry.hpp"
 #include "ftmc/rt/blackbox_io.hpp"
 #include "ftmc/rt/posix_host.hpp"
@@ -167,10 +167,10 @@ int main(int argc, char** argv) {
   // a long run wraps it (records carry their own sequence numbers).
   cfg.core.black_box_capacity = 1 << 16;
 
-  // --telemetry: BENCH_ftmc_rtdemo.json via the bench reporting path.
-  // The report constructor enables the global registry, so the
-  // context-switch metrics below are live exactly when requested.
-  std::optional<ftmc::bench::BenchReport> report;
+  // --telemetry: BENCH_ftmc_rtdemo.json. The report constructor enables
+  // the global registry, so the context-switch metrics below are live
+  // exactly when requested.
+  std::optional<ftmc::obs::BenchReport> report;
   if (opt.telemetry) report.emplace("ftmc_rtdemo", argc, argv);
 
   rt::PosixHost host(tasks, cfg);

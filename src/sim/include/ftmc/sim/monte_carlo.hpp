@@ -11,7 +11,6 @@
 
 #include <cstdint>
 
-#include "ftmc/exec/stats.hpp"
 #include "ftmc/obs/progress.hpp"
 #include "ftmc/obs/span.hpp"
 #include "ftmc/sim/engine.hpp"
@@ -45,14 +44,12 @@ struct MonteCarloOptions {
   /// one per hardware thread. The result is bit-identical for every
   /// value — per-mission accumulators are merged in mission order.
   int threads = 1;
-  exec::RunStats* stats = nullptr;  ///< optional run counters
   /// Optional span recorder: records one "mission" span per mission into
   /// per-worker lanes (see exec::ParallelOptions::spans).
   obs::SpanRecorder* spans = nullptr;
   /// Optional progress callback (done = missions finished), invoked from
-  /// the calling thread at most every progress_interval seconds.
+  /// the calling thread only (see exec::ParallelOptions::progress).
   obs::ProgressFn progress;
-  double progress_interval = 0.25;
 };
 
 /// Aggregated campaign results.

@@ -92,11 +92,9 @@ MonteCarloResult monte_carlo_campaign(const std::vector<SimTask>& tasks,
 
   exec::ParallelOptions par;
   par.threads = options.threads;
-  par.stats = options.stats;
   par.phase = "monte_carlo";
   par.spans = options.spans;
   par.progress = options.progress;
-  par.progress_interval = options.progress_interval;
   const CampaignShard total = exec::parallel_map_reduce<CampaignShard>(
       static_cast<std::size_t>(options.missions), par,
       [&](std::size_t m) {

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <string>
 
+#include "ftmc/common/file.hpp"
 #include "ftmc/io/parse_error.hpp"
 
 namespace ftmc::campaign {

@@ -3,6 +3,7 @@
 #include "ftmc/check/harness.hpp"
 #include "ftmc/io/parse_error.hpp"
 #include "ftmc/io/taskset_io.hpp"
+#include "ftmc/obs/registry.hpp"
 
 namespace ftmc::check {
 namespace {
@@ -22,6 +23,30 @@ TEST(Harness, CleanSweepPassesAndCountsAddUp) {
             r.cases_run * r.selected.size());
   EXPECT_EQ(r.checks_fail, 0u);
   EXPECT_GT(r.checks_pass, 0u);
+}
+
+TEST(Harness, CountsCasesInTheGlobalRegistryOnceEnabled) {
+  obs::Registry& registry = obs::Registry::global();
+  const bool was_enabled = registry.is_enabled();
+  const obs::Counter cases = registry.counter("check.cases");
+  const obs::Counter items = registry.counter("exec.check.items");
+  HarnessOptions opt;
+  opt.seed = 42;
+  opt.cases = 40;
+  opt.threads = 2;
+
+  registry.enable(false);
+  const std::uint64_t cases_off = cases.value();
+  (void)run_harness(opt);
+  EXPECT_EQ(cases.value(), cases_off);
+
+  registry.enable(true);
+  const std::uint64_t cases0 = cases.value();
+  const std::uint64_t items0 = items.value();
+  const HarnessResult r = run_harness(opt);
+  registry.enable(was_enabled);
+  EXPECT_EQ(cases.value() - cases0, r.cases_run);
+  EXPECT_EQ(items.value() - items0, r.cases_run);  // the "check" region
 }
 
 TEST(Harness, VerdictsAreThreadCountInvariant) {

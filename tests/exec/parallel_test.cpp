@@ -4,8 +4,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "ftmc/obs/registry.hpp"
 
 namespace ftmc::exec {
 namespace {
@@ -66,21 +70,37 @@ TEST(ParallelFor, SerialPathPropagatesException) {
 }
 
 TEST(ParallelFor, RecordsRunStats) {
-  RunStats stats;
+  obs::Registry& registry = obs::Registry::global();
+  const bool was_enabled = registry.is_enabled();
+  const obs::Counter items = registry.counter("exec.unit.items");
+  const obs::Counter chunks = registry.counter("exec.unit.chunks");
+  const obs::Counter regions = registry.counter("exec.unit.regions");
+  const obs::Gauge wall = registry.gauge("exec.unit.wall_seconds");
+  const obs::Gauge threads = registry.gauge("exec.unit.threads");
+  const std::uint64_t items0 = items.value();
+  const std::uint64_t chunks0 = chunks.value();
+  const std::uint64_t regions0 = regions.value();
+
   ParallelOptions opt;
   opt.threads = 2;
   opt.chunk_size = 10;
-  opt.stats = &stats;
   opt.phase = "unit";
+  registry.enable(false);  // a disabled registry records nothing
   parallel_for(95, opt, [](std::size_t, std::size_t) {});
-  const PhaseStats s = stats.phase("unit");
-  EXPECT_EQ(s.items, 95u);
-  EXPECT_EQ(s.chunks, 10u);  // ceil(95 / 10)
-  EXPECT_EQ(s.regions, 1u);
-  EXPECT_GE(s.threads, 1);
-  EXPECT_GE(s.wall_seconds, 0.0);
-  EXPECT_EQ(stats.phase("absent").items, 0u);
-  EXPECT_NE(stats.summary().find("unit"), std::string::npos);
+  EXPECT_EQ(items.value(), items0);
+  registry.enable(true);
+  parallel_for(95, opt, [](std::size_t, std::size_t) {});
+  const std::string summary = phase_summary(registry);
+  registry.enable(was_enabled);
+
+  EXPECT_EQ(items.value() - items0, 95u);
+  EXPECT_EQ(chunks.value() - chunks0, 10u);  // ceil(95 / 10)
+  EXPECT_EQ(regions.value() - regions0, 1u);
+  EXPECT_EQ(threads.value(), 2.0);
+  EXPECT_GE(wall.value(), 0.0);
+  EXPECT_NE(summary.find("unit: "), std::string::npos) << summary;
+  EXPECT_NE(summary.find(" chunks / "), std::string::npos) << summary;
+  EXPECT_EQ(summary.find("absent"), std::string::npos) << summary;
 }
 
 TEST(ParallelMapReduce, MatchesSerialSumExactly) {

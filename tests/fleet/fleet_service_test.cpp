@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -16,6 +17,8 @@
 #include "ftmc/campaign/runner.hpp"
 #include "ftmc/campaign/spec.hpp"
 #include "ftmc/fleet/worker.hpp"
+#include "ftmc/io/json.hpp"
+#include "ftmc/obs/registry.hpp"
 
 namespace ftmc::fleet {
 namespace {
@@ -97,6 +100,62 @@ TEST(CoordinatorService, AlreadyCompleteCampaignDrainsOnLinger) {
   const campaign::CampaignResult result = service.serve();
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(result.cache_hits, 6u);
+}
+
+TEST(CoordinatorService, BenchReportCarriesCellsAndNotes) {
+  // Two of the six cells are journaled before the coordinator opens, so
+  // the worker computes four and the ledger replays two.
+  const std::string dir = scratch_dir("report");
+  campaign::RunnerOptions runner;
+  runner.dir = dir;
+  runner.max_cells = 2;
+  ASSERT_FALSE(campaign::run_campaign(service_spec(), runner).complete);
+
+  CoordinatorOptions coordinator_options;
+  coordinator_options.dir = dir;
+  ServiceOptions service_options;
+  service_options.linger_ms = 10000;  // the worker gets its goodbye
+  CoordinatorService service(service_spec(), coordinator_options,
+                             service_options);
+  std::thread worker([&service] {
+    WorkerOptions options;
+    options.port = service.port();
+    options.name = "solo";
+    options.poll_ms = 20;
+    (void)run_worker(options);
+  });
+  const campaign::CampaignResult result = service.serve();
+  worker.join();
+
+  const bool was_enabled = obs::Registry::global().is_enabled();
+  const char* old_dir = std::getenv("FTMC_BENCH_DIR");
+  const std::string saved_dir = old_dir != nullptr ? old_dir : "";
+  ::setenv("FTMC_BENCH_DIR", dir.c_str(), 1);
+  {
+    const char* const argv[] = {"ftmc_campaign", "coordinate"};
+    obs::BenchReport report("fleet", 2, argv);
+    report_result(report, result, 0.5);
+  }
+  if (old_dir != nullptr) {
+    ::setenv("FTMC_BENCH_DIR", saved_dir.c_str(), 1);
+  } else {
+    ::unsetenv("FTMC_BENCH_DIR");
+  }
+  obs::Registry::global().enable(was_enabled);
+
+  const io::json::Value doc =
+      io::json::parse(campaign::read_file(dir + "/BENCH_fleet.json"));
+  EXPECT_EQ(doc.at("name").as_string(), "fleet");
+  EXPECT_EQ(doc.at("items").as_number(), 4.0);
+  EXPECT_EQ(doc.at("items_unit").as_string(), "cells");
+  EXPECT_EQ(doc.at("measured_seconds").as_number(), 0.5);
+  EXPECT_EQ(doc.at("items_per_sec").as_number(), 8.0);
+  const io::json::Value& notes = doc.at("notes");
+  EXPECT_EQ(notes.at("cells_total").kind(), io::json::Value::Kind::kNumber);
+  EXPECT_EQ(notes.at("cells_total").as_uint64(), 6u);
+  EXPECT_EQ(notes.at("cache_hits").as_uint64(), 2u);
+  EXPECT_EQ(notes.at("complete").kind(), io::json::Value::Kind::kBool);
+  EXPECT_TRUE(notes.at("complete").as_bool());
 }
 
 TEST(CoordinatorService, WorkerReconnectBudgetSurfacesDeadCoordinator) {

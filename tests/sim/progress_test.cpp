@@ -45,7 +45,6 @@ TEST(MonteCarloProgress, CallbackReportsMonotonicallyUpToTotal) {
   opt.mission_length = sim::kTicksPerSecond / 10;
   opt.seed = 11;
   opt.threads = 2;
-  opt.progress_interval = 0.0;  // report every completion
 
   std::vector<obs::Progress> updates;
   opt.progress = [&updates](const obs::Progress& p) {
@@ -72,7 +71,6 @@ TEST(MonteCarloProgress, SerialCampaignReportsToo) {
   opt.missions = 8;
   opt.mission_length = sim::kTicksPerSecond / 10;
   opt.threads = 1;
-  opt.progress_interval = 0.0;
 
   std::size_t calls = 0;
   std::size_t final_done = 0;
@@ -102,7 +100,6 @@ TEST(MonteCarloDeterminism, InstrumentationDoesNotChangeResults) {
   sim::MonteCarloOptions instrumented = plain;
   instrumented.threads = 4;
   instrumented.spans = &recorder;
-  instrumented.progress_interval = 0.0;
   instrumented.progress = [](const obs::Progress&) {};
   sim::SimConfig cfg = base_config();
   cfg.registry = &registry;
@@ -128,7 +125,6 @@ TEST(DesignSpaceProgress, CallbackCoversTheWholeGrid) {
   opt.degradation_factors = {2.0, 6.0};
   opt.segment_counts = {1};
   opt.threads = 2;
-  opt.progress_interval = 0.0;
 
   std::vector<obs::Progress> updates;
   opt.progress = [&updates](const obs::Progress& p) {
@@ -153,7 +149,6 @@ TEST(DesignSpaceDeterminism, SpansAndProgressDoNotChangeTheFront) {
   instrumented.threads = 4;
   instrumented.spans = &recorder;
   instrumented.progress = [](const obs::Progress&) {};
-  instrumented.progress_interval = 0.0;
   const auto result = core::explore_design_space(fms, instrumented);
 
   ASSERT_EQ(baseline.size(), result.size());

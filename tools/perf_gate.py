@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI perf-regression gate over BENCH_*.json telemetry.
 
-Each bench binary (bench/common/experiment_util) writes a telemetry file
+Each bench binary writes, through obs::BenchReport, a telemetry file
 ``BENCH_<name>.json`` whose ``items_per_sec`` is the headline throughput
 of the run. This gate compares those numbers against the checked-in
 baseline ``bench/perf_baseline.json`` and fails when any gated bench
