@@ -65,26 +65,22 @@ cli::Flag sets_flag(int& sets) {
       .overridden_by("FTMC_BENCH_SETS");
 }
 
-cli::Command bench_flags(std::string program, BenchOverrides& overrides,
-                         bool campaign_flags) {
-  cli::Command command{.program = std::move(program)};
-  command.flags = {
-      sets_flag(overrides.sets),
-      cli::uint64("--seed", overrides.seed, "base seed of the sweep"),
-      cli::integer("--threads", overrides.threads, INT_MIN, INT_MAX,
-                   "worker threads (1 = serial, 0 = all; default 0)")
-          .overridden_by("FTMC_BENCH_THREADS"),
-      cli::toggle("--progress", overrides.progress,
-                  "live progress meter on stderr"),
-  };
-  if (campaign_flags) {
-    command.flags.push_back(cli::text("--spec", overrides.spec, "FILE",
-                                      "campaign spec to run instead"));
-    command.flags.push_back(cli::text(
-        "--out", overrides.out, "DIR",
-        "persist the campaign in DIR (journal, results)"));
-  }
-  return command;
+cli::Command bench_flags(std::string program, BenchOverrides& overrides) {
+  return {
+      .program = std::move(program),
+      .flags = {
+          sets_flag(overrides.sets),
+          cli::uint64("--seed", overrides.seed, "base seed of the sweep"),
+          cli::integer("--threads", overrides.threads, INT_MIN, INT_MAX,
+                       "worker threads (1 = serial, 0 = all; default 0)")
+              .overridden_by("FTMC_BENCH_THREADS"),
+          cli::toggle("--progress", overrides.progress,
+                      "live progress meter on stderr"),
+          cli::text("--spec", overrides.spec, "FILE",
+                    "campaign spec to run instead"),
+          cli::text("--out", overrides.out, "DIR",
+                    "persist the campaign in DIR (journal, results)"),
+      }};
 }
 
 int fig3_campaign_main(const char* bench_name,
@@ -92,8 +88,7 @@ int fig3_campaign_main(const char* bench_name,
                        char** argv) {
   BenchOverrides overrides;
   overrides.spec = default_spec_path;
-  const cli::Command flags =
-      bench_flags(bench_name, overrides, /*campaign_flags=*/true);
+  const cli::Command flags = bench_flags(bench_name, overrides);
   if (const auto code = cli::parse(flags, argc, argv)) return *code;
   obs::BenchReport report(bench_name, argc, argv);
   try {

@@ -44,8 +44,8 @@ struct BenchOverrides {
   std::optional<std::uint64_t> seed;
   int threads = 0;  ///< benches: all hardware threads
   bool progress = false;
-  std::string spec;  ///< --spec FILE (campaign benches)
-  std::string out;   ///< --out DIR (campaign benches)
+  std::string spec;  ///< --spec FILE
+  std::string out;   ///< --out DIR
 };
 
 /// `--sets N` (N >= 1), overridden by FTMC_BENCH_SETS: CI smoke runs
@@ -53,11 +53,10 @@ struct BenchOverrides {
 [[nodiscard]] cli::Flag sets_flag(int& sets);
 
 /// The sweep benches' table: "--sets N", "--seed S", "--threads T",
-/// "--progress" and (when `campaign_flags`) "--spec FILE" / "--out DIR";
-/// FTMC_BENCH_SETS / FTMC_BENCH_THREADS override --sets / --threads.
+/// "--progress", "--spec FILE" and "--out DIR"; FTMC_BENCH_SETS /
+/// FTMC_BENCH_THREADS override --sets / --threads.
 [[nodiscard]] cli::Command bench_flags(std::string program,
-                                       BenchOverrides& overrides,
-                                       bool campaign_flags = false);
+                                       BenchOverrides& overrides);
 
 /// Shared main() of the fig3a-d benches: loads the campaign spec at
 /// `default_spec_path` (overridable with --spec), applies CLI/env

@@ -1,8 +1,6 @@
 /// Google-benchmark microbenchmarks of the discrete-event simulator:
 /// event throughput under EDF / EDF-VD / fixed priority, with and without
-/// fault injection and mode switching, plus the obs-instrumented variant
-/// quantifying the metrics-registry overhead (compare BM_SimEdfVd against
-/// BM_SimEdfVdInstrumented).
+/// fault injection and mode switching.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -12,7 +10,6 @@
 #include "ftmc/fms/fms.hpp"
 #include "ftmc/mcs/edf_vd.hpp"
 #include "ftmc/obs/bench_report.hpp"
-#include "ftmc/obs/registry.hpp"
 #include "ftmc/sim/engine.hpp"
 
 namespace {
@@ -25,8 +22,7 @@ std::vector<sim::SimTask> fms_tasks(double vd_factor = 1.0) {
 }
 
 void run_policy(benchmark::State& state, sim::PolicyKind policy,
-                double failure_prob_scale,
-                obs::Registry* registry = nullptr) {
+                double failure_prob_scale) {
   auto tasks = fms_tasks(policy == sim::PolicyKind::kEdfVd ? 0.5 : 1.0);
   for (auto& t : tasks) t.failure_prob *= failure_prob_scale;
 
@@ -37,7 +33,6 @@ void run_policy(benchmark::State& state, sim::PolicyKind policy,
     cfg.adaptation = mcs::AdaptationKind::kKilling;
     cfg.horizon = 60 * sim::kTicksPerSecond;  // one simulated minute
     cfg.seed = 7;
-    cfg.registry = registry;
     sim::Simulator simulator(tasks, cfg);
     const sim::SimStats s = simulator.run();
     for (const auto& t : s.per_task) jobs += t.released;
@@ -56,14 +51,6 @@ void BM_SimEdfVd(benchmark::State& state) {
   run_policy(state, sim::PolicyKind::kEdfVd, 1.0);
 }
 BENCHMARK(BM_SimEdfVd);
-
-void BM_SimEdfVdInstrumented(benchmark::State& state) {
-  // Identical workload with a live metrics registry attached: the delta
-  // against BM_SimEdfVd is the full metrics cost per simulated minute.
-  obs::Registry registry;
-  run_policy(state, sim::PolicyKind::kEdfVd, 1.0, &registry);
-}
-BENCHMARK(BM_SimEdfVdInstrumented);
 
 void BM_SimFixedPriority(benchmark::State& state) {
   run_policy(state, sim::PolicyKind::kFixedPriority, 1.0);

@@ -44,7 +44,6 @@ struct Options {
   int clients = 4;         ///< concurrent TCP client connections
   bool no_tcp = false;     ///< skip the loopback TCP phase
   bool shutdown_after = false;
-  bool progress = false;   ///< accepted like the other benches; no effect
   cli::Endpoint connect;   ///< an external daemon (empty host: none)
 };
 
@@ -65,7 +64,6 @@ struct Options {
                         "drive an external daemon in the TCP phase"),
           cli::toggle("--shutdown-after", opt.shutdown_after,
                       "send {\"type\":\"shutdown\"} once done"),
-          cli::toggle("--progress", opt.progress, "accepted; no effect"),
       }};
 }
 

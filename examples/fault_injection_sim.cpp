@@ -142,13 +142,13 @@ int main(int argc, char** argv) {
     for (const auto& t : simulator.tasks()) names.push_back(t.name);
     sim::append_trace_chrome_events(events, simulator.trace(), names, 1);
 
-    obs::SpanRecorder recorder;
+    obs::SpanRecorder& recorder = obs::SpanRecorder::global();
+    recorder.enable();
     sim::MonteCarloOptions mc_opt;
     mc_opt.missions = 64;
     mc_opt.mission_length = sim::kTicksPerSecond;
     mc_opt.seed = seed;
     mc_opt.threads = 4;
-    mc_opt.spans = &recorder;
     sim::SimConfig mc_cfg = cfg;
     mc_cfg.trace_capacity = 0;
     const auto mc = sim::monte_carlo_campaign(

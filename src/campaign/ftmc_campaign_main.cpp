@@ -15,6 +15,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ftmc/campaign/journal.hpp"
@@ -185,6 +186,21 @@ int cmd_worker(const CliOptions& opt) {
 /// `coordinate` (workers connect on their own) and `run --fleet N` (N
 /// forked local workers): one coordinator either way.
 int cmd_fleet(const CliOptions& opt, int argc, char** argv) {
+  // `run` shares these flags with the in-process runner; the fleet's
+  // cells run in other processes, so it rejects them rather than
+  // ignoring them.
+  const std::pair<bool, const char*> runner_only[] = {
+      {opt.runner.max_cells > 0, "--max-cells"},
+      {opt.progress, "--progress"},
+      {opt.stats, "--stats"},
+      {!opt.trace_out.empty(), "--trace-out"}};
+  for (const auto& [given, flag] : runner_only) {
+    if (given) {
+      std::cerr << "ftmc_campaign: " << flag
+                << " is not read by run --fleet\n";
+      return 2;
+    }
+  }
   // Enabled before the ledger opens, so its campaign.* counts are kept.
   obs::Registry::global().enable();
   fleet::CoordinatorOptions coordinator = opt.coordinator;
@@ -239,8 +255,7 @@ int cmd_run_or_resume(const CliOptions& opt, bool run) {
   campaign::RunnerOptions runner = opt.runner;
   runner.dir = opt.dir;
   if (opt.progress) runner.progress = obs::stderr_progress("campaign");
-  obs::SpanRecorder spans;
-  if (!opt.trace_out.empty()) runner.spans = &spans;
+  obs::SpanRecorder::global().enable(!opt.trace_out.empty());
 
   const campaign::CampaignResult result =
       run ? campaign::run_campaign(campaign::load_spec_file(opt.spec_path),
@@ -249,7 +264,7 @@ int cmd_run_or_resume(const CliOptions& opt, bool run) {
 
   if (!opt.trace_out.empty()) {
     std::ofstream trace(opt.trace_out);
-    spans.write_chrome_trace(trace);
+    obs::SpanRecorder::global().write_chrome_trace(trace);
     std::cerr << "trace: " << opt.trace_out << "\n";
   }
   if (opt.stats) std::cerr << exec::phase_summary(obs::Registry::global());

@@ -13,9 +13,10 @@
 ///    edited spec, replays every cell whose content hash is journaled.
 ///
 /// Observability: the ledger feeds the campaign.* counters and the
-/// region the exec.campaign.* ones; the runner records one span per
-/// computed cell when the parallel region carries a SpanRecorder, and
-/// reports progress over the cells it computes.
+/// region the exec.campaign.* ones; the runner records one
+/// "campaign.cell" span per computed cell while
+/// obs::SpanRecorder::global() is enabled, and reports progress over the
+/// cells it computes.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +25,6 @@
 #include "ftmc/campaign/ledger.hpp"
 #include "ftmc/campaign/spec.hpp"
 #include "ftmc/obs/progress.hpp"
-#include "ftmc/obs/span.hpp"
 
 namespace ftmc::campaign {
 
@@ -40,8 +40,7 @@ struct RunnerOptions {
   /// The CI crash drill uses this to interrupt a run deterministically —
   /// the journal then looks exactly like a crash at a cell boundary.
   std::size_t max_cells = 0;
-  obs::ProgressFn progress;            ///< over newly computed cells
-  obs::SpanRecorder* spans = nullptr;  ///< one span per cell
+  obs::ProgressFn progress;  ///< over newly computed cells
 };
 
 /// Concrete SchedulabilityTest instance for a scheduler. The EDF-VD

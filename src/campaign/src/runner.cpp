@@ -9,6 +9,7 @@
 #include "ftmc/mcs/fixed_priority.hpp"
 #include "ftmc/mcs/mc_dbf.hpp"
 #include "ftmc/mcs/opa.hpp"
+#include "ftmc/obs/span.hpp"
 #include "ftmc/taskgen/generator.hpp"
 
 namespace ftmc::campaign {
@@ -96,7 +97,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   par.threads = options.threads;
   par.chunk_size = 1;  // one cell = sets_per_point schedulings
   par.phase = "campaign";
-  par.spans = options.spans;
   par.progress = options.progress;
   exec::parallel_for(
       pending.size(), par, [&](std::size_t begin, std::size_t end) {

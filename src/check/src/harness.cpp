@@ -143,6 +143,15 @@ HarnessResult run_harness(const HarnessOptions& options) {
                              64))
           : options.cases;
 
+  const auto report_progress = [&](std::uint64_t done, std::uint64_t total) {
+    if (!options.progress) return;
+    obs::Progress p;
+    p.done = static_cast<std::size_t>(done);
+    p.total = static_cast<std::size_t>(total);
+    p.wall_seconds = elapsed();
+    options.progress(p);
+  };
+
   std::uint64_t next_index = 0;
   while (next_index < options.cases) {
     if (options.budget_sec > 0.0 && next_index > 0 &&
@@ -176,15 +185,11 @@ HarnessResult run_harness(const HarnessOptions& options) {
     }
     next_index += wave;
     result.cases_run = next_index;
-
-    if (options.progress) {
-      obs::Progress p;
-      p.done = static_cast<std::size_t>(next_index);
-      p.total = static_cast<std::size_t>(options.cases);
-      p.wall_seconds = elapsed();
-      options.progress(p);
-    }
+    report_progress(next_index, options.cases);
   }
+  // A budget stop ends the run short of options.cases; the last report
+  // still says done == total, so a progress meter closes its line.
+  if (result.budget_exhausted) report_progress(next_index, next_index);
 
   result.wall_seconds = elapsed();
   return result;

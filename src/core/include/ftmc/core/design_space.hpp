@@ -17,7 +17,6 @@
 #include "ftmc/core/ft_checkpoint.hpp"
 #include "ftmc/core/ft_scheduler.hpp"
 #include "ftmc/obs/progress.hpp"
-#include "ftmc/obs/span.hpp"
 
 namespace ftmc::core {
 
@@ -54,9 +53,6 @@ struct DesignSpaceOptions {
   /// <= 0 = one per hardware thread. Evaluation is deterministic, so the
   /// result does not depend on this value.
   int threads = 1;
-  /// Optional span recorder: records one "design_point" span per grid
-  /// point into per-worker lanes (see exec::ParallelOptions::spans).
-  obs::SpanRecorder* spans = nullptr;
   /// Optional progress callback (done = grid points evaluated), invoked
   /// from the calling thread only (see exec::ParallelOptions::progress).
   obs::ProgressFn progress;

@@ -6,6 +6,7 @@
 #include "ftmc/exec/parallel.hpp"
 #include "ftmc/mcs/edf_vd.hpp"
 #include "ftmc/mcs/edf_vd_degradation.hpp"
+#include "ftmc/obs/span.hpp"
 
 namespace ftmc::core {
 namespace {
@@ -117,7 +118,6 @@ std::vector<DesignPoint> explore_design_space(
   par.threads = options.threads;
   par.chunk_size = 1;  // points are few and individually heavy
   par.phase = "design_space";
-  par.spans = options.spans;
   par.progress = options.progress;
   exec::parallel_for(grid.size(), par,
                      [&](std::size_t begin, std::size_t end) {

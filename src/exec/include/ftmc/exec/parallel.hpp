@@ -22,6 +22,13 @@
 /// adds to the metric family `exec.<phase>.{items,chunks,regions,
 /// wall_seconds,threads}` (threads is the largest worker count seen).
 /// While it is disabled, a region pays one branch for them.
+///
+/// Spans: while obs::SpanRecorder::global() is enabled, every region
+/// records one span per chunk (named by its phase). The calling thread
+/// records on the lane it holds, or on "main" when it holds none; pool
+/// workers lease "worker-N" lanes, distinct from those of any region
+/// running at the same time. A worker's lane stays installed while chunk
+/// bodies run, so nested library spans land on the right timeline.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +40,6 @@
 
 #include "ftmc/obs/progress.hpp"
 #include "ftmc/obs/registry.hpp"
-#include "ftmc/obs/span.hpp"
 
 namespace ftmc::exec {
 
@@ -48,12 +54,6 @@ struct ParallelOptions {
   std::size_t chunk_size = 0;
   /// Names the region's exec.<phase>.* metrics and its chunk spans.
   const char* phase = "parallel";
-  /// Optional span recorder: the region records one span per chunk
-  /// (named `phase`) into per-worker lanes ("main" for the calling
-  /// thread, "worker-N" for pool workers), and the worker's lane stays
-  /// installed while chunk bodies run, so nested library spans land on
-  /// the right timeline. Null = tracing off (no cost beyond a TLS read).
-  obs::SpanRecorder* spans = nullptr;
   /// Optional progress callback, invoked from the CALLING thread only
   /// (never concurrently) after every chunk it sees complete, plus a
   /// final {done == total} call when the region completes.

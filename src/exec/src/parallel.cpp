@@ -10,6 +10,7 @@
 #include <string_view>
 
 #include "ftmc/exec/thread_pool.hpp"
+#include "ftmc/obs/span.hpp"
 
 namespace ftmc::exec {
 namespace {
@@ -59,7 +60,7 @@ void parallel_for(std::size_t n, const ParallelOptions& options,
   };
 
   if (threads <= 1) {
-    obs::LaneGuard lane(options.spans, "main");
+    obs::LaneGuard lane("main");
     for (std::size_t c = 0; c < n_chunks; ++c) {
       const std::size_t end = std::min(n, (c + 1) * chunk);
       {
@@ -77,7 +78,7 @@ void parallel_for(std::size_t n, const ParallelOptions& options,
     // `coordinator` marks the calling thread: it alone fires the progress
     // callback, between the chunks it executes itself.
     const auto drain = [&](const std::string& lane_name, bool coordinator) {
-      obs::LaneGuard lane(options.spans, lane_name);
+      obs::LaneGuard lane(lane_name);
       for (std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
            c < n_chunks;
            c = next.fetch_add(1, std::memory_order_relaxed)) {

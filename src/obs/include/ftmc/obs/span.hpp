@@ -2,21 +2,25 @@
 /// \brief Span tracing: RAII timers recording into per-thread bounded
 ///        lanes, exported as Chrome trace-event JSON.
 ///
-/// Usage pattern (mirrors how the exec runtime wires it):
+/// Library code records into one process-wide recorder,
+/// SpanRecorder::global(), which stays off until a tool enables it
+/// (`--trace-out`); no environment variable turns it on. Usage pattern
+/// (mirrors how the exec runtime and the tools wire it):
 ///
-///   obs::SpanRecorder recorder;          // one per experiment
+///   obs::SpanRecorder::global().enable();  // a tool, before the run
 ///   // on each worker thread:
-///   obs::LaneGuard lane(&recorder, "worker-3");   // installs TLS lane
+///   obs::LaneGuard lane("worker-3");        // leases a lane
 ///   {
-///     obs::ScopedSpan span("mission");   // times this scope
+///     obs::ScopedSpan span("mission");      // times this scope
 ///     ...
 ///   }
-///   recorder.write_chrome_trace(file);   // open in Perfetto
+///   obs::SpanRecorder::global().write_chrome_trace(file);  // Perfetto
 ///
 /// ScopedSpan with no lane installed (no LaneGuard on this thread, or a
-/// null recorder) is a no-op: one thread-local read and a branch. Lanes
-/// are bounded; spans beyond the capacity are dropped and counted, never
-/// reallocated — the hot path stays allocation-free after lane creation.
+/// disabled recorder) is a no-op: one thread-local read and a branch.
+/// Lanes are bounded; spans beyond the capacity are dropped and counted,
+/// never reallocated — the hot path stays allocation-free after lane
+/// creation. Tests construct recorders of their own (enabled).
 ///
 /// Span names must outlive the recorder (string literals in practice).
 #pragma once
@@ -28,6 +32,7 @@
 #include <iosfwd>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ftmc::obs {
@@ -41,8 +46,8 @@ struct SpanEvent {
 
 class SpanRecorder {
  public:
-  /// A per-thread event buffer. Single writer (the owning thread);
-  /// exported after the writing threads have joined.
+  /// A per-thread event buffer. Single writer (the thread holding its
+  /// lease); exported after the writing threads have joined.
   struct Lane {
     Lane(std::string lane_name, std::size_t capacity)
         : name(std::move(lane_name)), events(capacity) {}
@@ -50,18 +55,33 @@ class SpanRecorder {
     std::vector<SpanEvent> events;     ///< fixed capacity, never grows
     std::atomic<std::size_t> count{0}; ///< committed events
     std::atomic<std::uint64_t> dropped{0};
+    bool held = false;  ///< leased to a thread (guarded by the mutex)
   };
 
   explicit SpanRecorder(std::size_t capacity_per_lane = 1 << 14,
                         std::size_t max_lanes = 256);
 
-  /// The lane named `name`, created on first use (nullptr once max_lanes
-  /// is reached — tracing then degrades to dropping, never failing).
-  /// Lanes are keyed by name: re-entering "worker-0" in a later parallel
-  /// region continues the same timeline lane. Two threads must not write
-  /// the same lane concurrently (the exec runtime guarantees distinct
-  /// per-worker names within a region).
-  [[nodiscard]] Lane* acquire_lane(const std::string& name);
+  /// The process-wide recorder library spans land in (parallel regions,
+  /// campaign cells, serve requests). Starts disabled.
+  [[nodiscard]] static SpanRecorder& global();
+
+  /// While disabled, LaneGuards on this recorder install nothing.
+  void enable(bool on = true) noexcept {
+    enabled_.store(on, std::memory_order_relaxed);
+  }
+  [[nodiscard]] bool is_enabled() const noexcept {
+    return enabled_.load(std::memory_order_relaxed);
+  }
+
+  /// Leases a free lane named `name` — the first one released earlier,
+  /// else a new one (nullptr once max_lanes is reached: tracing then
+  /// degrades to dropping, never failing). Re-entering "worker-0" in a
+  /// later parallel region continues the same timeline lane, while two
+  /// regions running at once get distinct lanes of that name: one lane
+  /// never has two writers.
+  [[nodiscard]] Lane* acquire_lane(std::string_view name);
+  /// Returns a lane from acquire_lane to the free pool.
+  void release_lane(Lane* lane);
 
   /// Nanoseconds since the recorder was constructed.
   [[nodiscard]] std::uint64_t now_ns() const noexcept;
@@ -81,6 +101,7 @@ class SpanRecorder {
   std::chrono::steady_clock::time_point epoch_;
   std::size_t capacity_;
   std::size_t max_lanes_;
+  std::atomic<bool> enabled_{true};
   mutable std::mutex mu_;
   std::deque<Lane> lanes_;  // stable addresses for handed-out Lane*
 };
@@ -93,18 +114,23 @@ struct CurrentLane {
 [[nodiscard]] CurrentLane& current_lane() noexcept;
 }  // namespace detail
 
-/// Installs `recorder`'s lane `name` as the calling thread's current lane
-/// for the guard's lifetime (restoring the previous one after). A null
-/// recorder installs nothing — spans in scope stay no-ops.
+/// Leases `recorder`'s lane `name` as the calling thread's current lane
+/// for the guard's lifetime. One thread, one lane: a thread that already
+/// holds a lane keeps it (a parallel region's caller records its chunks
+/// on the lane it came with), and a disabled recorder installs nothing —
+/// spans in scope stay no-ops.
 class LaneGuard {
  public:
-  LaneGuard(SpanRecorder* recorder, const std::string& name);
+  /// A lane of SpanRecorder::global().
+  explicit LaneGuard(std::string_view name);
+  LaneGuard(SpanRecorder& recorder, std::string_view name);
   ~LaneGuard();
   LaneGuard(const LaneGuard&) = delete;
   LaneGuard& operator=(const LaneGuard&) = delete;
 
  private:
-  detail::CurrentLane saved_;
+  SpanRecorder* recorder_ = nullptr;
+  SpanRecorder::Lane* lane_ = nullptr;  ///< null: this guard leased none
 };
 
 /// RAII span on the calling thread's current lane (no-op without one).

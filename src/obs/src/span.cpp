@@ -22,14 +22,34 @@ SpanRecorder::SpanRecorder(std::size_t capacity_per_lane,
       capacity_(capacity_per_lane == 0 ? 1 : capacity_per_lane),
       max_lanes_(max_lanes == 0 ? 1 : max_lanes) {}
 
-SpanRecorder::Lane* SpanRecorder::acquire_lane(const std::string& name) {
+SpanRecorder& SpanRecorder::global() {
+  // A recorder can be neither copied nor moved, so the global one is
+  // switched off in place, once, on first use.
+  static SpanRecorder& recorder = []() -> SpanRecorder& {
+    static SpanRecorder off;
+    off.enable(false);
+    return off;
+  }();
+  return recorder;
+}
+
+SpanRecorder::Lane* SpanRecorder::acquire_lane(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   for (Lane& lane : lanes_) {
-    if (lane.name == name) return &lane;
+    if (!lane.held && lane.name == name) {
+      lane.held = true;
+      return &lane;
+    }
   }
   if (lanes_.size() >= max_lanes_) return nullptr;
-  lanes_.emplace_back(name, capacity_);
-  return &lanes_.back();
+  Lane& lane = lanes_.emplace_back(std::string(name), capacity_);
+  lane.held = true;
+  return &lane;
+}
+
+void SpanRecorder::release_lane(Lane* lane) {
+  std::lock_guard<std::mutex> lock(mu_);
+  lane->held = false;
 }
 
 std::uint64_t SpanRecorder::now_ns() const noexcept {
@@ -125,17 +145,23 @@ std::uint64_t SpanRecorder::total_dropped() const {
   return total;
 }
 
-LaneGuard::LaneGuard(SpanRecorder* recorder, const std::string& name)
-    : saved_(detail::current_lane()) {
-  if (recorder != nullptr) {
-    SpanRecorder::Lane* lane = recorder->acquire_lane(name);
-    if (lane != nullptr) {
-      detail::current_lane() = {recorder, lane};
-    }
-  }
+LaneGuard::LaneGuard(std::string_view name)
+    : LaneGuard(SpanRecorder::global(), name) {}
+
+LaneGuard::LaneGuard(SpanRecorder& recorder, std::string_view name) {
+  detail::CurrentLane& current = detail::current_lane();
+  if (current.lane != nullptr || !recorder.is_enabled()) return;
+  lane_ = recorder.acquire_lane(name);
+  if (lane_ == nullptr) return;
+  recorder_ = &recorder;
+  current = {recorder_, lane_};
 }
 
-LaneGuard::~LaneGuard() { detail::current_lane() = saved_; }
+LaneGuard::~LaneGuard() {
+  if (lane_ == nullptr) return;
+  detail::current_lane() = {};
+  recorder_->release_lane(lane_);
+}
 
 ScopedSpan::ScopedSpan(const char* name) noexcept {
   const detail::CurrentLane& current = detail::current_lane();

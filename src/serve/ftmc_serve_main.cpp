@@ -24,6 +24,7 @@
 #include "ftmc/common/cli.hpp"
 #include "ftmc/obs/exposition.hpp"
 #include "ftmc/obs/registry.hpp"
+#include "ftmc/obs/span.hpp"
 #include "ftmc/serve/expose.hpp"
 #include "ftmc/serve/server.hpp"
 #include "ftmc/serve/tcp.hpp"
@@ -74,9 +75,9 @@ extern "C" void handle_stop_signal(int) {
   if (g_listener != nullptr) g_listener->stop();
 }
 
-/// Writes the server's request spans to opt.trace_out (no-op when the
+/// Writes the recorded request spans to opt.trace_out (no-op when the
 /// flag was not given). Called after the transports have drained.
-void write_trace(serve::Server& server, const CliOptions& opt) {
+void write_trace(const CliOptions& opt) {
   if (opt.trace_out.empty()) return;
   std::ofstream out(opt.trace_out);
   if (!out) {
@@ -84,9 +85,10 @@ void write_trace(serve::Server& server, const CliOptions& opt) {
               << "\"\n";
     return;
   }
-  server.spans().write_chrome_trace(out);
-  std::cerr << "ftmc_serve: wrote " << server.spans().total_events()
-            << " spans to " << opt.trace_out << "\n";
+  const obs::SpanRecorder& spans = obs::SpanRecorder::global();
+  spans.write_chrome_trace(out);
+  std::cerr << "ftmc_serve: wrote " << spans.total_events() << " spans to "
+            << opt.trace_out << "\n";
 }
 
 int run_obs_export() {
@@ -103,7 +105,7 @@ int run_stdin(const CliOptions& opt) {
   const std::string request(std::istreambuf_iterator<char>(std::cin),
                             std::istreambuf_iterator<char>{});
   std::cout << server.handle(request) << "\n";
-  write_trace(server, opt);
+  write_trace(opt);
   return 0;
 }
 
@@ -121,7 +123,7 @@ int run_tcp(const CliOptions& opt) {
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
   g_listener = nullptr;
-  write_trace(server, opt);
+  write_trace(opt);
   std::cout << "ftmc_serve: shut down cleanly" << std::endl;
   return 0;
 }
@@ -132,6 +134,7 @@ int main(int argc, char** argv) {
   CliOptions opt;
   if (const auto code = cli::parse(flags(opt), argc, argv)) return *code;
   obs::Registry::global().enable();
+  obs::SpanRecorder::global().enable(!opt.trace_out.empty());
   try {
     if (opt.obs_export) return run_obs_export();
     return opt.stdin_mode ? run_stdin(opt) : run_tcp(opt);

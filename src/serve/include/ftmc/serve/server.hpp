@@ -29,7 +29,6 @@
 #include "ftmc/campaign/cache.hpp"
 #include "ftmc/net/frame.hpp"
 #include "ftmc/obs/registry.hpp"
-#include "ftmc/obs/span.hpp"
 
 namespace ftmc::io::json {
 class Value;
@@ -85,8 +84,9 @@ struct ServeMetrics {
 /// every response, right after "type" — never inside the results array,
 /// which stays a pure function of the request (the determinism
 /// contract). Each request is parsed once and covered by RAII spans
-/// (request/parse/lookup/analyze/respond) on the server's span recorder,
-/// exportable as a Chrome trace via `ftmc_serve --trace-out`.
+/// (request/parse/lookup/analyze/respond) on a lane of its own, recorded
+/// while obs::SpanRecorder::global() is enabled (`ftmc_serve
+/// --trace-out`).
 class Server {
  public:
   explicit Server(ServerOptions options = {});
@@ -108,11 +108,6 @@ class Server {
     return options_;
   }
 
-  /// The request-span recorder (request/parse/lookup/analyze/respond
-  /// lanes, one per serving thread, plus the exec workers' lanes). Export
-  /// with write_chrome_trace after the transports have drained.
-  [[nodiscard]] obs::SpanRecorder& spans() noexcept { return spans_; }
-
  private:
   [[nodiscard]] std::string handle_analyze(const io::json::Value& request,
                                            const std::string& trace_id);
@@ -120,7 +115,6 @@ class Server {
   ServerOptions options_;
   campaign::HashCache<std::string> cache_;
   ServeMetrics metrics_;
-  obs::SpanRecorder spans_;
   std::atomic<std::uint64_t> trace_seq_{0};
   std::atomic<bool> shutdown_{false};
 };

@@ -16,6 +16,7 @@
 #include "ftmc/mcs/edf_vd.hpp"
 #include "ftmc/mcs/sensitivity.hpp"
 #include "ftmc/obs/exposition.hpp"
+#include "ftmc/obs/span.hpp"
 #include "ftmc/rt/core.hpp"
 #include "ftmc/rt/host.hpp"
 #include "ftmc/sim/model.hpp"
@@ -293,15 +294,6 @@ struct AdmissionOnlyHost final : rt::Host {
   return m.latency_admit_us;
 }
 
-/// Distinct span-lane name per serving thread: transports may call
-/// handle() concurrently, and two threads must never share a lane.
-[[nodiscard]] const std::string& lane_name() {
-  static std::atomic<int> next{0};
-  thread_local const std::string name =
-      "serve-" + std::to_string(next.fetch_add(1, std::memory_order_relaxed));
-  return name;
-}
-
 }  // namespace
 
 ServeMetrics ServeMetrics::global() {
@@ -327,7 +319,9 @@ Server::Server(ServerOptions options)
 
 std::string Server::handle(std::string_view request_json) {
   metrics_.requests_total.inc();
-  obs::LaneGuard lane(&spans_, lane_name());
+  // Lanes are leased: concurrent requests record on distinct "serve"
+  // lanes, and the analyze region's chunks stay on this one.
+  obs::LaneGuard lane("serve");
   obs::ScopedSpan request_span("request");
   // The echoed trace id, or a synthesized "t-<n>" when the client sent
   // none — synthesized even for unparseable requests, so every response
@@ -433,7 +427,6 @@ std::string Server::handle_analyze(const Value& request,
   par.threads = options_.threads;
   par.chunk_size = 1;  // one query = one FT-S analysis
   par.phase = "serve";
-  par.spans = &spans_;
   {
     obs::ScopedSpan span("analyze");
     exec::parallel_for(

@@ -18,12 +18,15 @@
 /// and the simulator adds observation (trace, metrics, statistics).
 /// docs/runtime.md describes the split; the POSIX host (ftmc::rt::PosixHost)
 /// runs the identical loop against the wall clock.
+///
+/// Metrics: while obs::Registry::global() is enabled, every run adds its
+/// totals (the core's own counters, folded into SimStats) to
+/// sim.releases, sim.completions, sim.reexecutions, sim.job_failures,
+/// sim.deadline_misses, sim.kills, sim.preemptions, sim.mode_switches and
+/// sim.mode_resets, once, when it ends.
 #pragma once
 
-#include <optional>
-
 #include "ftmc/mcs/schedulability.hpp"
-#include "ftmc/obs/registry.hpp"
 #include "ftmc/rt/driver.hpp"
 #include "ftmc/sim/model.hpp"
 #include "ftmc/sim/stats.hpp"
@@ -73,18 +76,10 @@ struct SimConfig {
   /// ftmc/rt/flight_recorder.hpp); unlike the trace it survives with a
   /// bounded tail even when tracing is off.
   std::size_t black_box_capacity = 256;
-
-  /// Optional metrics registry. When set, the run feeds scheduling
-  /// counters (sim.releases, sim.preemptions, sim.mode_switches,
-  /// sim.kills, sim.reexecutions, ...) and per-task response-time
-  /// histograms (sim.response_us.<task>) from the trace-event stream —
-  /// without growing (or requiring) the trace buffer. Null = off; the
-  /// hot path then pays a single pointer test per event.
-  obs::Registry* registry = nullptr;
 };
 
-/// The simulator: the host loop on virtual time plus trace and metrics
-/// recording. Construct, run once, inspect stats/trace.
+/// The simulator: the host loop on virtual time plus trace recording.
+/// Construct, run once, inspect stats/trace.
 class Simulator : private rt::Driver {
  public:
   Simulator(std::vector<SimTask> tasks, const SimConfig& config);
@@ -93,10 +88,11 @@ class Simulator : private rt::Driver {
   /// configuration included — keeping up to `trace_capacity` events.
   /// Replay rebuilds a PosixHost run this way (rt::run_config).
   Simulator(std::vector<SimTask> tasks, const rt::RunConfig& run,
-            std::size_t trace_capacity, obs::Registry* registry = nullptr);
+            std::size_t trace_capacity);
 
-  /// Runs the full horizon and returns the aggregated statistics.
-  /// May be called once per instance.
+  /// Runs the full horizon and returns the aggregated statistics (and
+  /// publishes their totals; see the file comment). May be called once
+  /// per instance.
   SimStats run();
 
   [[nodiscard]] const std::vector<TraceEvent>& trace() const noexcept {
@@ -123,32 +119,16 @@ class Simulator : private rt::Driver {
                                      CritLevel level) const;
 
  private:
-  /// Trace sink of the loop. A single byte test when neither tracing nor
-  /// metrics are attached (the common case), everything else out of line.
+  /// Trace sink of the loop. A single byte test when tracing is off (the
+  /// common case), the recording out of line.
   void emit(const rt::Event& event) override {
-    if (record_flags_ != 0) record_slow(event);
+    if (tracing_) record(event);
   }
-  void record_slow(const rt::Event& event);
+  void record(const rt::Event& event);
 
-  /// Bits of record_flags_.
-  static constexpr std::uint8_t kRecordTrace = 1;    ///< trace buffer on
-  static constexpr std::uint8_t kRecordMetrics = 2;  ///< registry attached
-
-  std::uint8_t record_flags_ = 0;  ///< kRecordTrace | kRecordMetrics
+  bool tracing_ = false;  ///< trace_capacity_ > 0
   std::size_t trace_capacity_ = 0;
   std::vector<TraceEvent> trace_;
-
-  /// Registry handles, resolved once at construction (see
-  /// SimConfig::registry). Engaged only when a registry is attached.
-  /// Declared last: the cold handles must not shift the hot state across
-  /// cache lines.
-  struct Metrics {
-    obs::Counter releases, dispatches, preemptions, reexecutions,
-        completions, job_failures, deadline_misses, mode_switches,
-        mode_resets, kills;
-    std::vector<obs::Histogram> response_us;  ///< per task
-  };
-  std::optional<Metrics> metrics_;
 };
 
 /// One-call helper: build tasks from the analysis model, run, and return

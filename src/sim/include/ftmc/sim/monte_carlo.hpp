@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "ftmc/obs/progress.hpp"
-#include "ftmc/obs/span.hpp"
 #include "ftmc/sim/engine.hpp"
 
 namespace ftmc::sim {
@@ -44,9 +43,6 @@ struct MonteCarloOptions {
   /// one per hardware thread. The result is bit-identical for every
   /// value — per-mission accumulators are merged in mission order.
   int threads = 1;
-  /// Optional span recorder: records one "mission" span per mission into
-  /// per-worker lanes (see exec::ParallelOptions::spans).
-  obs::SpanRecorder* spans = nullptr;
   /// Optional progress callback (done = missions finished), invoked from
   /// the calling thread only (see exec::ParallelOptions::progress).
   obs::ProgressFn progress;

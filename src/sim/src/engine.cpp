@@ -1,6 +1,9 @@
 #include "ftmc/sim/engine.hpp"
 
+#include <utility>
+
 #include "ftmc/common/contracts.hpp"
+#include "ftmc/obs/registry.hpp"
 
 namespace ftmc::sim {
 
@@ -30,78 +33,56 @@ rt::RunConfig run_config(const SimConfig& config) {
   return run;
 }
 
+/// Adds one run's totals to the sim.* counters of the global registry
+/// (see engine.hpp); one branch while it is disabled.
+void publish_totals(const SimStats& stats) {
+  obs::Registry& registry = obs::Registry::global();
+  if (!registry.is_enabled()) return;
+  rt::TaskCounters sum;
+  for (const rt::TaskCounters& t : stats.per_task) {
+    sum.released += t.released;
+    sum.completed += t.completed;
+    sum.faults += t.faults;
+    sum.job_failures += t.job_failures;
+    sum.deadline_misses += t.deadline_misses;
+    sum.killed += t.killed;
+  }
+  const std::pair<const char*, std::uint64_t> totals[] = {
+      {"sim.releases", sum.released},
+      {"sim.completions", sum.completed},
+      {"sim.reexecutions", sum.faults},
+      {"sim.job_failures", sum.job_failures},
+      {"sim.deadline_misses", sum.deadline_misses},
+      {"sim.kills", sum.killed},
+      {"sim.preemptions", stats.preemptions},
+      {"sim.mode_switches", stats.mode_switches},
+      {"sim.mode_resets", stats.mode_resets}};
+  for (const auto& [name, total] : totals) registry.counter(name).inc(total);
+}
+
 }  // namespace
 
 Simulator::Simulator(std::vector<SimTask> tasks, const SimConfig& config)
-    : Simulator(std::move(tasks), run_config(config), config.trace_capacity,
-                config.registry) {}
+    : Simulator(std::move(tasks), run_config(config), config.trace_capacity) {}
 
 Simulator::Simulator(std::vector<SimTask> tasks, const rt::RunConfig& run,
-                     std::size_t trace_capacity, obs::Registry* registry)
-    : Driver(std::move(tasks), run), trace_capacity_(trace_capacity) {
-  if (registry != nullptr) {
-    obs::Registry& reg = *registry;
-    Metrics m;
-    m.releases = reg.counter("sim.releases");
-    m.dispatches = reg.counter("sim.dispatches");
-    m.preemptions = reg.counter("sim.preemptions");
-    m.reexecutions = reg.counter("sim.reexecutions");
-    m.completions = reg.counter("sim.completions");
-    m.job_failures = reg.counter("sim.job_failures");
-    m.deadline_misses = reg.counter("sim.deadline_misses");
-    m.mode_switches = reg.counter("sim.mode_switches");
-    m.mode_resets = reg.counter("sim.mode_resets");
-    m.kills = reg.counter("sim.kills");
-    const std::vector<SimTask>& all = Driver::tasks();
-    m.response_us.reserve(all.size());
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      const std::string& name = all[i].name;
-      m.response_us.push_back(reg.histogram(
-          "sim.response_us." +
-          (name.empty() ? "task" + std::to_string(i) : name)));
-    }
-    metrics_.emplace(std::move(m));
-  }
-  if (trace_capacity_ > 0) record_flags_ |= kRecordTrace;
-  if (metrics_) record_flags_ |= kRecordMetrics;
-}
+                     std::size_t trace_capacity)
+    : Driver(std::move(tasks), run),
+      tracing_(trace_capacity > 0),
+      trace_capacity_(trace_capacity) {}
 
 // Out of line and cold: emit() itself is a single byte test (see
-// engine.hpp), so a run with neither tracing nor metrics attached pays
-// nothing measurable per event.
-__attribute__((noinline, cold)) void Simulator::record_slow(
+// engine.hpp), so an untraced run pays nothing measurable per event.
+__attribute__((noinline, cold)) void Simulator::record(
     const rt::Event& event) {
-  if ((record_flags_ & kRecordMetrics) != 0) {
-    // Metrics piggyback on the event stream but don't need (or grow) the
-    // trace buffer.
-    switch (event.kind) {
-      case TraceKind::kRelease: metrics_->releases.inc(); break;
-      case TraceKind::kStart: metrics_->dispatches.inc(); break;
-      case TraceKind::kPreempt: metrics_->preemptions.inc(); break;
-      case TraceKind::kAttemptFail: metrics_->reexecutions.inc(); break;
-      case TraceKind::kComplete:
-        metrics_->completions.inc();
-        metrics_->response_us[event.task].observe(
-            static_cast<double>(event.time - event.release));
-        break;
-      case TraceKind::kJobFail: metrics_->job_failures.inc(); break;
-      case TraceKind::kDeadlineMiss:
-        metrics_->deadline_misses.inc();
-        break;
-      case TraceKind::kModeSwitch: metrics_->mode_switches.inc(); break;
-      case TraceKind::kModeReset: metrics_->mode_resets.inc(); break;
-      case TraceKind::kKill: metrics_->kills.inc(); break;
-    }
-  }
-  if ((record_flags_ & kRecordTrace) != 0 &&
-      trace_.size() < trace_capacity_) {
-    trace_.push_back(event);
-  }
+  if (trace_.size() < trace_capacity_) trace_.push_back(event);
 }
 
 SimStats Simulator::run() {
   rt::VirtualClock clock;
-  return Driver::run(clock);
+  SimStats stats = Driver::run(clock);
+  publish_totals(stats);
+  return stats;
 }
 
 std::uint64_t Simulator::failure_count(const SimStats& stats,

@@ -5,6 +5,7 @@
 #include "ftmc/common/contracts.hpp"
 #include "ftmc/exec/parallel.hpp"
 #include "ftmc/exec/seed.hpp"
+#include "ftmc/obs/span.hpp"
 
 namespace ftmc::sim {
 namespace {
@@ -93,7 +94,6 @@ MonteCarloResult monte_carlo_campaign(const std::vector<SimTask>& tasks,
   exec::ParallelOptions par;
   par.threads = options.threads;
   par.phase = "monte_carlo";
-  par.spans = options.spans;
   par.progress = options.progress;
   const CampaignShard total = exec::parallel_map_reduce<CampaignShard>(
       static_cast<std::size_t>(options.missions), par,

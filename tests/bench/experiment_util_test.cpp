@@ -17,15 +17,14 @@ namespace {
 
 /// Parses {"bench_test", args...} against the sweep benches' table;
 /// the error is what the parser printed.
-Expected<BenchOverrides> parse_bench_args(
-    std::vector<std::string> args, bool campaign_flags = false) {
+Expected<BenchOverrides> parse_bench_args(std::vector<std::string> args) {
   args.insert(args.begin(), "bench_test");
   std::vector<const char*> argv;
   for (const std::string& a : args) argv.push_back(a.c_str());
   BenchOverrides overrides;
   std::ostringstream out, err;
   const std::optional<int> code =
-      cli::parse(bench_flags("bench_test", overrides, campaign_flags),
+      cli::parse(bench_flags("bench_test", overrides),
                  static_cast<int>(argv.size()), argv.data(), out, err);
   if (!code) return overrides;
   EXPECT_EQ(code, 2);
@@ -75,13 +74,8 @@ TEST(BenchOverridesParse, ParsesAllKnownFlags) {
 TEST(BenchOverridesParse, CampaignFlagsAreOptIn) {
   ScopedEnv no_sets("FTMC_BENCH_SETS", std::nullopt);
   ScopedEnv no_threads("FTMC_BENCH_THREADS", std::nullopt);
-  const auto rejected =
-      parse_bench_args({"--spec", "custom.json", "--out", "runs/a"});
-  EXPECT_FALSE(rejected.ok());
-
   const auto allowed =
-      parse_bench_args({"--spec", "custom.json", "--out", "runs/a"},
-                            /*campaign_flags=*/true);
+      parse_bench_args({"--spec", "custom.json", "--out", "runs/a"});
   ASSERT_TRUE(allowed.ok()) << allowed.error();
   EXPECT_EQ(allowed->spec, "custom.json");
   EXPECT_EQ(allowed->out, "runs/a");

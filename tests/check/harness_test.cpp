@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ftmc/check/harness.hpp"
 #include "ftmc/io/parse_error.hpp"
 #include "ftmc/io/taskset_io.hpp"
@@ -93,6 +95,26 @@ TEST(Harness, BudgetModeStopsEarlyAtACaseBoundary) {
   EXPECT_GT(r.cases_run, 0u);
   EXPECT_EQ(r.checks_pass + r.checks_fail + r.checks_skip,
             r.cases_run * r.selected.size());
+}
+
+TEST(Harness, BudgetStopEndsProgressAtDoneEqualsTotal) {
+  // A progress meter ends its line on done == total; a budget stop
+  // leaves the run short of opt.cases, and the last report must say so.
+  HarnessOptions opt;
+  opt.seed = 3;
+  opt.cases = 10'000'000;  // what ftmc_check sets in budget mode
+  opt.budget_sec = 0.05;
+  opt.threads = 1;
+  std::vector<obs::Progress> reports;
+  opt.progress = [&reports](const obs::Progress& p) { reports.push_back(p); };
+  const HarnessResult r = run_harness(opt);
+  ASSERT_TRUE(r.budget_exhausted);
+  ASSERT_FALSE(reports.empty());
+  EXPECT_EQ(reports.back().done, r.cases_run);
+  EXPECT_EQ(reports.back().total, r.cases_run);
+  for (std::size_t i = 0; i + 1 < reports.size(); ++i) {
+    EXPECT_LT(reports[i].done, reports[i].total);  // only the last closes
+  }
 }
 
 TEST(Harness, InjectedBugIsFoundShrunkAndReplayable) {

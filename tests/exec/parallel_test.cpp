@@ -5,11 +5,16 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "ftmc/io/json.hpp"
 #include "ftmc/obs/registry.hpp"
+#include "ftmc/obs/span.hpp"
 
 namespace ftmc::exec {
 namespace {
@@ -18,6 +23,54 @@ ParallelOptions with_threads(int threads) {
   ParallelOptions opt;
   opt.threads = threads;
   return opt;
+}
+
+/// Turns the global span recorder on for one scope.
+class Tracing {
+ public:
+  Tracing() : was_enabled_(obs::SpanRecorder::global().is_enabled()) {
+    obs::SpanRecorder::global().enable();
+  }
+  ~Tracing() { obs::SpanRecorder::global().enable(was_enabled_); }
+  Tracing(const Tracing&) = delete;
+  Tracing& operator=(const Tracing&) = delete;
+
+ private:
+  bool was_enabled_;
+};
+
+/// One span of the global recorder: its lane and the span enclosing it
+/// on that lane ("" at the top).
+struct RecordedSpan {
+  double tid = 0;
+  std::string lane;
+  std::string parent;
+};
+
+/// The global recorder's spans named `name`, read back from its Chrome
+/// trace, which rebuilds each lane's nesting.
+std::vector<RecordedSpan> recorded(const std::string& name) {
+  const io::json::Value doc =
+      io::json::parse(obs::SpanRecorder::global().chrome_trace_json());
+  std::map<double, std::string> lanes;              // tid -> lane name
+  std::map<double, std::vector<std::string>> open;  // tid -> open spans
+  std::vector<RecordedSpan> out;
+  for (const io::json::Value& event : doc.at("traceEvents").items()) {
+    const std::string phase = event.at("ph").as_string();
+    const double tid = event.at("tid").as_number();
+    if (phase == "M" && event.at("name").as_string() == "thread_name") {
+      lanes[tid] = event.at("args").at("name").as_string();
+    } else if (phase == "B") {
+      std::vector<std::string>& stack = open[tid];
+      if (event.at("name").as_string() == name) {
+        out.push_back({tid, lanes[tid], stack.empty() ? "" : stack.back()});
+      }
+      stack.push_back(event.at("name").as_string());
+    } else if (phase == "E") {
+      open[tid].pop_back();
+    }
+  }
+  return out;
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
@@ -101,6 +154,99 @@ TEST(ParallelFor, RecordsRunStats) {
   EXPECT_NE(summary.find("unit: "), std::string::npos) << summary;
   EXPECT_NE(summary.find(" chunks / "), std::string::npos) << summary;
   EXPECT_EQ(summary.find("absent"), std::string::npos) << summary;
+}
+
+TEST(ParallelFor, RecordsNoSpansWhileTracingIsOff) {
+  const obs::SpanRecorder& spans = obs::SpanRecorder::global();
+  ASSERT_FALSE(spans.is_enabled());
+  const std::size_t lanes = spans.lane_count();
+  const std::uint64_t events = spans.total_events();
+  parallel_for(64, with_threads(4), [](std::size_t, std::size_t) {
+    obs::ScopedSpan span("unit.item");
+  });
+  EXPECT_EQ(spans.lane_count(), lanes);  // not even a lane is allocated
+  EXPECT_EQ(spans.total_events(), events);
+}
+
+TEST(ParallelFor, TracingRecordsChunkSpansWithLibrarySpansInside) {
+  ParallelOptions opt;
+  opt.threads = 3;
+  opt.chunk_size = 4;
+  opt.phase = "unit.chunk";
+  {
+    Tracing tracing;
+    parallel_for(40, opt, [](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        obs::ScopedSpan span("unit.item");
+      }
+    });
+  }
+  const std::vector<RecordedSpan> chunks = recorded("unit.chunk");
+  const std::vector<RecordedSpan> items = recorded("unit.item");
+  EXPECT_EQ(chunks.size(), 10u);
+  ASSERT_EQ(items.size(), 40u);
+  for (const RecordedSpan& item : items) {
+    EXPECT_EQ(item.parent, "unit.chunk") << "on lane " << item.lane;
+  }
+  for (const RecordedSpan& chunk : chunks) {
+    EXPECT_TRUE(chunk.lane == "main" || chunk.lane.starts_with("worker-"))
+        << chunk.lane;
+  }
+}
+
+TEST(ParallelFor, ACallerThatHoldsALaneKeepsIt) {
+  // A server thread runs its analyze region on the lane of its request:
+  // the region's chunks land there, never on a shared "main".
+  {
+    Tracing tracing;
+    obs::LaneGuard lane("unit-caller");
+    ParallelOptions opt = with_threads(1);
+    opt.chunk_size = 1;
+    opt.phase = "unit.kept";
+    parallel_for(5, opt, [](std::size_t, std::size_t) {});
+    opt.threads = 2;
+    opt.phase = "unit.kept-2";
+    parallel_for(5, opt, [](std::size_t, std::size_t) {});
+  }
+  const std::vector<RecordedSpan> serial = recorded("unit.kept");
+  ASSERT_EQ(serial.size(), 5u);
+  for (const RecordedSpan& chunk : serial) {
+    EXPECT_EQ(chunk.lane, "unit-caller");
+  }
+  const std::vector<RecordedSpan> pooled = recorded("unit.kept-2");
+  ASSERT_EQ(pooled.size(), 5u);
+  for (const RecordedSpan& chunk : pooled) {
+    EXPECT_TRUE(chunk.lane == "unit-caller" || chunk.lane == "worker-0")
+        << chunk.lane;
+  }
+}
+
+TEST(ParallelFor, ConcurrentRegionsRecordOnDistinctLanes) {
+  // Two regions of two threads each, with all four chunk bodies held open
+  // together: four threads write spans at once, so they need four lanes
+  // although both regions name theirs "main" and "worker-0".
+  ParallelOptions opt = with_threads(2);
+  opt.chunk_size = 1;
+  opt.phase = "unit.concurrent";
+  std::atomic<int> running{0};
+  const auto region = [&] {
+    parallel_for(2, opt, [&running](std::size_t, std::size_t) {
+      running.fetch_add(1);
+      while (running.load() < 4) std::this_thread::yield();
+    });
+  };
+  {
+    Tracing tracing;
+    std::thread a(region);
+    std::thread b(region);
+    a.join();
+    b.join();
+  }
+  const std::vector<RecordedSpan> chunks = recorded("unit.concurrent");
+  ASSERT_EQ(chunks.size(), 4u);
+  std::set<double> lanes;
+  for (const RecordedSpan& chunk : chunks) lanes.insert(chunk.tid);
+  EXPECT_EQ(lanes.size(), 4u);
 }
 
 TEST(ParallelMapReduce, MatchesSerialSumExactly) {

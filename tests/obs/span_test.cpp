@@ -1,6 +1,7 @@
-/// Tests of span tracing: the no-op path without a lane, lane reuse,
-/// bounded capacity with drop counting, and the Chrome trace-event
-/// export (structural JSON validity, balanced B/E per lane).
+/// Tests of span tracing: the no-op path without a lane or with a
+/// disabled recorder, lane leasing and reuse, bounded capacity with drop
+/// counting, and the Chrome trace-event export (structural JSON
+/// validity, balanced B/E per lane).
 #include "ftmc/obs/span.hpp"
 
 #include <gtest/gtest.h>
@@ -42,7 +43,7 @@ TEST(ScopedSpan, NoOpWithoutALane) {
 TEST(ScopedSpan, RecordsIntoTheInstalledLane) {
   SpanRecorder recorder;
   {
-    LaneGuard lane(&recorder, "worker-0");
+    LaneGuard lane(recorder, "worker-0");
     { ScopedSpan span("mission"); }
     { ScopedSpan span("mission"); }
   }
@@ -51,19 +52,39 @@ TEST(ScopedSpan, RecordsIntoTheInstalledLane) {
   EXPECT_EQ(recorder.total_dropped(), 0u);
 }
 
-TEST(ScopedSpan, NullRecorderGuardInstallsNothing) {
-  LaneGuard lane(nullptr, "worker-0");
-  ScopedSpan span("mission");  // must not crash, records nowhere
+TEST(ScopedSpan, DisabledRecorderGuardInstallsNothing) {
+  SpanRecorder recorder;
+  recorder.enable(false);
+  {
+    LaneGuard lane(recorder, "worker-0");
+    ScopedSpan span("mission");  // records nowhere
+  }
+  EXPECT_EQ(recorder.total_events(), 0u);
+  EXPECT_EQ(recorder.lane_count(), 0u);
+}
+
+TEST(ScopedSpan, TheGlobalRecorderStartsOff) {
+  // No environment variable turns it on; only a tool's enable() does.
+  SpanRecorder& global = SpanRecorder::global();
+  ASSERT_FALSE(global.is_enabled());
+  const std::size_t lanes = global.lane_count();
+  const std::uint64_t events = global.total_events();
+  {
+    LaneGuard lane("main");
+    ScopedSpan span("mission");
+  }
+  EXPECT_EQ(global.lane_count(), lanes);
+  EXPECT_EQ(global.total_events(), events);
 }
 
 TEST(LaneGuard, ReenteringANameContinuesTheSameLane) {
   SpanRecorder recorder;
   {
-    LaneGuard lane(&recorder, "worker-0");
+    LaneGuard lane(recorder, "worker-0");
     ScopedSpan span("region-1");
   }
   {
-    LaneGuard lane(&recorder, "worker-0");  // second parallel region
+    LaneGuard lane(recorder, "worker-0");  // second parallel region
     ScopedSpan span("region-2");
   }
   EXPECT_EQ(recorder.lane_count(), 1u);
@@ -72,20 +93,50 @@ TEST(LaneGuard, ReenteringANameContinuesTheSameLane) {
 
 TEST(LaneGuard, RestoresThePreviousLaneOnExit) {
   SpanRecorder recorder;
-  LaneGuard outer(&recorder, "outer");
   {
-    LaneGuard inner(&recorder, "inner");
-    ScopedSpan span("in-inner");
+    LaneGuard outer(recorder, "outer");
+    {
+      LaneGuard inner(recorder, "inner");  // the thread keeps "outer"
+      ScopedSpan span("in-inner");
+    }
+    { ScopedSpan span("back-in-outer"); }
   }
-  { ScopedSpan span("back-in-outer"); }
+  { ScopedSpan span("no-lane"); }  // the outer guard left none installed
+  EXPECT_EQ(recorder.lane_count(), 1u);
+  EXPECT_EQ(recorder.total_events(), 2u);
+}
+
+TEST(LaneGuard, ConcurrentHoldersOfANameGetDistinctLanes) {
+  // Two parallel regions running at once both name a worker "worker-0";
+  // each must write a lane of its own.
+  SpanRecorder recorder;
+  LaneGuard held(recorder, "worker-0");
+  { ScopedSpan span("here"); }
+  std::thread other([&recorder] {
+    LaneGuard lane(recorder, "worker-0");
+    ScopedSpan span("there");
+  });
+  other.join();
   EXPECT_EQ(recorder.lane_count(), 2u);
   EXPECT_EQ(recorder.total_events(), 2u);
+}
+
+TEST(SpanRecorder, ALaneIsLeasedToOneHolderAtATime) {
+  SpanRecorder recorder;
+  SpanRecorder::Lane* first = recorder.acquire_lane("w");
+  SpanRecorder::Lane* second = recorder.acquire_lane("w");
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_NE(first, second);
+  recorder.release_lane(first);
+  EXPECT_EQ(recorder.acquire_lane("w"), first);  // reused once released
+  EXPECT_EQ(recorder.lane_count(), 2u);
 }
 
 TEST(SpanRecorder, CapacityBoundsLanesAndCountsDrops) {
   SpanRecorder recorder(/*capacity_per_lane=*/4);
   {
-    LaneGuard lane(&recorder, "tiny");
+    LaneGuard lane(recorder, "tiny");
     for (int i = 0; i < 10; ++i) {
       ScopedSpan span("s");
     }
@@ -101,7 +152,7 @@ TEST(SpanRecorder, ConcurrentLanesRecordIndependently) {
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&recorder, t] {
-      LaneGuard lane(&recorder, "worker-" + std::to_string(t));
+      LaneGuard lane(recorder, "worker-" + std::to_string(t));
       for (int i = 0; i < kSpansPerThread; ++i) {
         ScopedSpan span("mission");
       }
@@ -116,13 +167,13 @@ TEST(SpanRecorder, ConcurrentLanesRecordIndependently) {
 TEST(ChromeExport, BalancedBeginEndPerLane) {
   SpanRecorder recorder;
   {
-    LaneGuard lane(&recorder, "worker-0");
+    LaneGuard lane(recorder, "worker-0");
     for (int i = 0; i < 3; ++i) {
       ScopedSpan span("mission");
     }
   }
   {
-    LaneGuard lane(&recorder, "worker-1");
+    LaneGuard lane(recorder, "worker-1");
     ScopedSpan span("mission");
   }
 
@@ -164,7 +215,7 @@ TEST(ChromeExport, BalancedBeginEndPerLane) {
 TEST(ChromeExport, DocumentIsStructurallyValidJson) {
   SpanRecorder recorder;
   {
-    LaneGuard lane(&recorder, R"(we"ird\lane)");  // must be escaped
+    LaneGuard lane(recorder, R"(we"ird\lane)");  // must be escaped
     ScopedSpan span("mission");
   }
   std::ostringstream os;
@@ -244,7 +295,7 @@ TEST(SpanRecorder, LaneLimitDegradesToDroppingNotFailing) {
   EXPECT_NE(recorder.acquire_lane("b"), nullptr);
   EXPECT_EQ(recorder.acquire_lane("c"), nullptr);
   // Spans on the rejected lane are silent no-ops.
-  LaneGuard lane(&recorder, "c");
+  LaneGuard lane(recorder, "c");
   ScopedSpan span("mission");
   EXPECT_EQ(recorder.lane_count(), 2u);
 }

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ftmc/campaign/runner.hpp"
@@ -17,6 +19,7 @@
 #include "ftmc/io/json.hpp"
 #include "ftmc/obs/exposition.hpp"
 #include "ftmc/obs/registry.hpp"
+#include "ftmc/obs/span.hpp"
 #include "ftmc/serve/expose.hpp"
 #include "ftmc/taskgen/generator.hpp"
 
@@ -126,6 +129,96 @@ TEST(Server, AnalyzeWithoutQueriesAnswersError) {
 // The core property: a served FT-S answer is byte-for-byte the JSON of
 // the same analysis run locally. No server-side floating-point detour,
 // no reordering, no reformatting.
+/// Turns the global span recorder on for one scope.
+class Tracing {
+ public:
+  Tracing() : was_enabled_(obs::SpanRecorder::global().is_enabled()) {
+    obs::SpanRecorder::global().enable();
+  }
+  ~Tracing() { obs::SpanRecorder::global().enable(was_enabled_); }
+  Tracing(const Tracing&) = delete;
+  Tracing& operator=(const Tracing&) = delete;
+
+ private:
+  bool was_enabled_;
+};
+
+/// Spans named `name` the global recorder holds so far.
+[[nodiscard]] std::size_t spans_named(const std::string& name) {
+  const io::json::Value doc =
+      io::json::parse(obs::SpanRecorder::global().chrome_trace_json());
+  std::size_t n = 0;
+  for (const io::json::Value& event : doc.at("traceEvents").items()) {
+    if (event.at("ph").as_string() == "B" &&
+        event.at("name").as_string() == name) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(Server, RecordsNoSpansWithoutTracing) {
+  const obs::SpanRecorder& spans = obs::SpanRecorder::global();
+  ASSERT_FALSE(spans.is_enabled());
+  const std::size_t lanes = spans.lane_count();
+  const std::uint64_t events = spans.total_events();
+  ServerOptions options;
+  options.threads = 2;
+  Server server(options);
+  (void)server.handle(analyze_request(
+      {fts_query(task_set_json(41)), fts_query(task_set_json(42))}));
+  EXPECT_EQ(spans.total_events(), events);
+  EXPECT_EQ(spans.lane_count(), lanes);
+}
+
+TEST(Server, TracingRecordsTheRequestSpans) {
+  const std::vector<std::string> names = {"request", "parse", "lookup",
+                                          "analyze", "respond"};
+  std::map<std::string, std::size_t> before;
+  for (const std::string& name : names) before[name] = spans_named(name);
+  {
+    Tracing tracing;
+    Server server;
+    (void)server.handle(analyze_request({fts_query(task_set_json(43))}));
+  }
+  for (const std::string& name : names) {
+    EXPECT_EQ(spans_named(name) - before[name], 1u) << name;
+  }
+}
+
+TEST(Server, TracedConcurrentAnalyzeRequestsRecordEverySpan) {
+  // Four serving threads on cache misses, each request an analyze region
+  // of two threads: every writer needs a lane of its own (the sanitizer
+  // job runs this under TSan).
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kRequests = 6;
+  ServerOptions options;
+  options.threads = 2;
+  Server server(options);
+  const std::size_t requests0 = spans_named("request");
+  const std::size_t chunks0 = spans_named("serve");
+  {
+    Tracing tracing;
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&server, c] {
+        for (std::size_t r = 0; r < kRequests; ++r) {
+          const std::uint64_t seed = 100 + c * kRequests + r;
+          const std::string response = server.handle(
+              analyze_request({fts_query(task_set_json(seed)),
+                               fts_query(task_set_json(seed + 1000))}));
+          EXPECT_EQ(io::json::parse(response).at("cache_hits").as_uint64(),
+                    0u);
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+  }
+  EXPECT_EQ(spans_named("request") - requests0, kClients * kRequests);
+  // One chunk span per computed query.
+  EXPECT_EQ(spans_named("serve") - chunks0, 2 * kClients * kRequests);
+}
+
 TEST(Server, FtsAnswerIsBitIdenticalToLocalAnalysis) {
   const std::string ts_json = task_set_json(7);
   const core::FtTaskSet ts =

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <utility>
+
 #include "ftmc/common/contracts.hpp"
+#include "ftmc/obs/registry.hpp"
 
 namespace ftmc::sim {
 namespace {
@@ -190,6 +195,112 @@ TEST(SimEngine, EmpiricalPfhZeroWithoutFaults) {
   Simulator sim({task("x", 1000, 100)}, edf_config(sim::kTicksPerHour));
   const SimStats s = sim.run();
   EXPECT_DOUBLE_EQ(sim.empirical_pfh(s, CritLevel::LO), 0.0);
+}
+
+/// The nine counters a run publishes, each beside the trace event that
+/// marks one occurrence of it.
+constexpr std::array<std::pair<const char*, TraceKind>, 9> kPublished = {{
+    {"sim.releases", TraceKind::kRelease},
+    {"sim.completions", TraceKind::kComplete},
+    {"sim.reexecutions", TraceKind::kAttemptFail},
+    {"sim.job_failures", TraceKind::kJobFail},
+    {"sim.deadline_misses", TraceKind::kDeadlineMiss},
+    {"sim.kills", TraceKind::kKill},
+    {"sim.preemptions", TraceKind::kPreempt},
+    {"sim.mode_switches", TraceKind::kModeSwitch},
+    {"sim.mode_resets", TraceKind::kModeReset},
+}};
+
+/// The totals of `stats` in kPublished order.
+std::array<std::uint64_t, 9> stats_totals(const SimStats& stats) {
+  std::array<std::uint64_t, 9> totals{};
+  for (const TaskStats& t : stats.per_task) {
+    totals[0] += t.released;
+    totals[1] += t.completed;
+    totals[2] += t.faults;
+    totals[3] += t.job_failures;
+    totals[4] += t.deadline_misses;
+    totals[5] += t.killed;
+  }
+  totals[6] = stats.preemptions;
+  totals[7] = stats.mode_switches;
+  totals[8] = stats.mode_resets;
+  return totals;
+}
+
+std::array<std::uint64_t, 9> published_counts() {
+  std::array<std::uint64_t, 9> counts{};
+  for (std::size_t i = 0; i < kPublished.size(); ++i) {
+    counts[i] =
+        obs::Registry::global().counter(kPublished[i].first).value();
+  }
+  return counts;
+}
+
+TEST(SimEngine, PublishesItsTotalsOncePerRun) {
+  // An overloaded mixed-criticality set with faults, so that every
+  // counter moves on some configuration.
+  std::vector<SimTask> tasks = {
+      task("hi-fast", 4'000, 900, CritLevel::HI, 3, 1, 0.2),
+      task("hi-slow", 11'000, 2'000, CritLevel::HI, 2, 1, 0.2),
+      task("lo-a", 6'000, 1'500, CritLevel::LO, 2, 1, 0.2),
+      task("lo-b", 15'000, 3'100, CritLevel::LO, 1, 1, 0.2)};
+  tasks[0].virtual_deadline = 2'500;
+  tasks[1].virtual_deadline = 6'000;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    tasks[i].priority = static_cast<int>(i);
+  }
+
+  obs::Registry& registry = obs::Registry::global();
+  const bool was_enabled = registry.is_enabled();
+  std::array<std::uint64_t, 9> moved{};
+  for (const PolicyKind policy : {PolicyKind::kEdf, PolicyKind::kEdfVd,
+                                  PolicyKind::kFixedPriority}) {
+    for (const mcs::AdaptationKind adaptation :
+         {mcs::AdaptationKind::kNone, mcs::AdaptationKind::kKilling,
+          mcs::AdaptationKind::kDegradation}) {
+      for (const bool reset : {false, true}) {
+        SimConfig config = edf_config(3'000'000);
+        config.policy = policy;
+        config.adaptation = adaptation;
+        config.degradation_factor = 2.0;
+        config.mode_reset_on_idle = reset;
+        config.seed = 11;
+        config.trace_capacity = 1'000'000;
+        SCOPED_TRACE(testing::Message()
+                     << "policy " << static_cast<int>(policy)
+                     << ", adaptation " << static_cast<int>(adaptation)
+                     << ", reset " << reset);
+
+        registry.enable();
+        const std::array<std::uint64_t, 9> before = published_counts();
+        Simulator simulator(tasks, config);
+        const SimStats stats = simulator.run();
+        const std::array<std::uint64_t, 9> after = published_counts();
+        ASSERT_LT(simulator.trace().size(), config.trace_capacity);
+
+        const std::array<std::uint64_t, 9> totals = stats_totals(stats);
+        for (std::size_t i = 0; i < kPublished.size(); ++i) {
+          std::uint64_t events = 0;
+          for (const TraceEvent& e : simulator.trace()) {
+            if (e.kind == kPublished[i].second) ++events;
+          }
+          EXPECT_EQ(after[i] - before[i], totals[i]) << kPublished[i].first;
+          EXPECT_EQ(after[i] - before[i], events) << kPublished[i].first;
+          moved[i] += totals[i];
+        }
+
+        // A disabled registry publishes nothing.
+        registry.enable(false);
+        (void)Simulator(tasks, config).run();
+        EXPECT_EQ(published_counts(), after);
+      }
+    }
+  }
+  registry.enable(was_enabled);
+  for (std::size_t i = 0; i < kPublished.size(); ++i) {
+    EXPECT_GT(moved[i], 0u) << kPublished[i].first << " never moved";
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 /// Tests of the campaign progress callbacks and of the determinism
-/// guarantee under instrumentation: attaching a progress callback, a
-/// span recorder and a metrics registry must not change any result bit.
+/// guarantee under instrumentation: a progress callback, span tracing
+/// and the metrics registry must not change any result bit.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -94,28 +94,29 @@ TEST(MonteCarloDeterminism, InstrumentationDoesNotChangeResults) {
   const auto baseline =
       sim::monte_carlo_campaign(tasks, base_config(), plain);
 
-  // Threaded + spans + progress + metrics registry: still bit-identical.
-  obs::SpanRecorder recorder;
-  obs::Registry registry;
+  // Threaded, traced, with progress and metrics on: still bit-identical.
+  obs::SpanRecorder& spans = obs::SpanRecorder::global();
+  obs::Registry& registry = obs::Registry::global();
+  const bool spans_were_enabled = spans.is_enabled();
+  const bool registry_was_enabled = registry.is_enabled();
+  const std::uint64_t spans0 = spans.total_events() + spans.total_dropped();
+  const obs::Counter releases = registry.counter("sim.releases");
+  const std::uint64_t releases0 = releases.value();
+  spans.enable();
+  registry.enable();
   sim::MonteCarloOptions instrumented = plain;
   instrumented.threads = 4;
-  instrumented.spans = &recorder;
   instrumented.progress = [](const obs::Progress&) {};
-  sim::SimConfig cfg = base_config();
-  cfg.registry = &registry;
-  const auto result = sim::monte_carlo_campaign(tasks, cfg, instrumented);
+  const auto result =
+      sim::monte_carlo_campaign(tasks, base_config(), instrumented);
+  spans.enable(spans_were_enabled);
+  registry.enable(registry_was_enabled);
 
   expect_identical(baseline, result);
   // One "mission" span per mission plus one region span per chunk.
-  EXPECT_GE(recorder.total_events() + recorder.total_dropped(), 24u);
+  EXPECT_GE(spans.total_events() + spans.total_dropped() - spans0, 24u);
   // And the registry saw the simulated activity.
-  const auto snap = registry.snapshot();
-  ASSERT_FALSE(snap.counters.empty());
-  std::uint64_t releases = 0;
-  for (const auto& [name, value] : snap.counters) {
-    if (name == "sim.releases") releases = value;
-  }
-  EXPECT_GT(releases, 0u);
+  EXPECT_GT(releases.value() - releases0, 0u);
 }
 
 TEST(DesignSpaceProgress, CallbackCoversTheWholeGrid) {
@@ -143,13 +144,16 @@ TEST(DesignSpaceDeterminism, SpansAndProgressDoNotChangeTheFront) {
   plain.os_hours = 1.0;
   const auto baseline = core::explore_design_space(fms, plain);
 
-  obs::SpanRecorder recorder;
+  obs::SpanRecorder& spans = obs::SpanRecorder::global();
+  const bool spans_were_enabled = spans.is_enabled();
+  const std::uint64_t spans0 = spans.total_events();
+  spans.enable();
   core::DesignSpaceOptions instrumented;
   instrumented.os_hours = 1.0;
   instrumented.threads = 4;
-  instrumented.spans = &recorder;
   instrumented.progress = [](const obs::Progress&) {};
   const auto result = core::explore_design_space(fms, instrumented);
+  spans.enable(spans_were_enabled);
 
   ASSERT_EQ(baseline.size(), result.size());
   for (std::size_t i = 0; i < baseline.size(); ++i) {
@@ -159,7 +163,7 @@ TEST(DesignSpaceDeterminism, SpansAndProgressDoNotChangeTheFront) {
     EXPECT_EQ(baseline[i].u_mc, result[i].u_mc);
   }
   EXPECT_EQ(core::pareto_front(baseline), core::pareto_front(result));
-  EXPECT_GE(recorder.total_events(), baseline.size());
+  EXPECT_GE(spans.total_events() - spans0, baseline.size());
 }
 
 }  // namespace
